@@ -15,8 +15,8 @@ from .model import (
     total_energy,
 )
 from .lp import LpProblem, LpSolution, lp_solve
-from .dual import DualPoint, Restriction, SubproblemSolution, eval_dual
-from .ellipsoid import CutOracleResult, EllipsoidState, ellipsoid_run
+from .dual import DualPoint, Restriction, SubproblemSolution
+from .ellipsoid import CutOracleResult, ellipsoid_run
 from .p1 import SolveReport, lmax_partial, recover_primal, solve_p1
 from .p2 import lmax_binary, mode_comm_coop, mode_comp_coop, mode_local, solve_p2
 from .bench import SCHEME_LABELS, run_benchmark
@@ -29,7 +29,6 @@ __all__ = [
     "ConstraintReport",
     "CutOracleResult",
     "DualPoint",
-    "EllipsoidState",
     "Geometry",
     "LpProblem",
     "LpSolution",
@@ -44,7 +43,6 @@ __all__ = [
     "db_to_linear",
     "dbm_to_watts",
     "ellipsoid_run",
-    "eval_dual",
     "kkt_residuals",
     "lmax_binary",
     "lmax_partial",

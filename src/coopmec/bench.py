@@ -73,8 +73,4 @@ def run_benchmark(scheme: str, p: SystemParams) -> SolveReport:
         raise ValueError(
             f"unknown scheme {scheme!r}; expected one of {', '.join(SCHEME_LABELS)}"
         ) from None
-    report = fn(p)
-    if scheme in ("joint-binary",):
-        # keep the winning mode visible, but report under the scheme name
-        report.mode_label = report.mode_label or scheme
-    return report
+    return fn(p)

@@ -243,55 +243,11 @@ def _require_signs(d: DualPoint) -> None:
         raise DualInfeasibleError(f"negative dual price: {d}")
 
 
-def eval_dual(
-    d: DualPoint, p: SystemParams
-) -> tuple[float, SubproblemSolution, np.ndarray]:
-    """Dual function value, assembled minimizer, and the subgradient.
-
-    The subgradient entries are the dualized-constraint residuals at the
-    minimizer, with tau*rate(E/tau) taken as 0 at tau = 0.
-    """
-    if not d.feasible(p):
-        raise DualInfeasibleError(f"dual point outside the feasible set: {d}")
-    s1 = solve_sub1(d, p)
-    s2 = solve_sub2(d, p)
-    s3 = solve_sub3(d, p)
-    l_u = solve_sub4(d, p)
-    l_a = solve_sub5(d, p)
-
-    v4 = p.kappa_u * p.c_u**3 * l_u**3 / p.T**2 - d.mu2 * l_u
-    v5 = d.bounded_below_slack(p) * l_a
-    g_value = (
-        s1["value"] + s2["value"] + s3["value"] + v4 + v5
-        - d.mu1 * p.T + d.mu2 * p.L
-    )
-
-    sol = SubproblemSolution(
-        E1=s1["E1"], E2=s2["E2"], E3=s3["E3"],
-        tau1=s1["tau1"], tau2=s2["tau2"], tau3=s3["tau3"],
-        l_u=l_u, l_h=s1["l_h"], l_a=l_a,
-        P1=s1["P1"], P2=s2["P2"], P3=s3["P3"],
-        M1=s1["M1"],
-        rho1=s1["rho1"], rho2=s2["rho2"], rho3=s3["rho3"],
-        alpha1=s1["alpha1"], alpha2=s2["alpha2"], alpha3=s3["alpha3"],
-        beta1=s1["beta1"],
-        g_value=g_value,
-    )
-    sub = np.array([
-        sol.l_h - sol.tau1 * r01(sol.P1, p),
-        sol.l_a - sol.tau2 * r0(sol.P2, p) - sol.tau3 * r1(sol.P3, p),
-        sol.l_a - sol.tau2 * r01(sol.P2, p),
-        sol.tau1 + sol.tau2 + sol.tau3 + sol.l_a * p.c_a / p.f_a_max - p.T,
-        p.L - sol.l_u - sol.l_h - sol.l_a,
-    ])
-    return g_value, sol, sub
-
-
-# -- restricted variants -------------------------------------------------------
+# -- the dual function, whole or restricted -----------------------------------
 #
 # The benchmark schemes and the binary communication-cooperation mode are
 # the same problem with blocks pinned: the dual shrinks to the prices of
-# the constraints that remain.
+# the constraints that remain. FULL pins nothing.
 
 DUAL_NAMES = ("lam1", "lam2", "lam3", "mu1", "mu2")
 
@@ -344,9 +300,13 @@ FULL = Restriction()
 def eval_dual_restricted(
     d: DualPoint, p: SystemParams, rest: Restriction
 ) -> tuple[float, SubproblemSolution, np.ndarray]:
-    """eval_dual for a pinned variant; subgradient only over active duals."""
-    if rest == FULL:
-        return eval_dual(d, p)
+    """Dual function value, assembled minimizer, and the subgradient.
+
+    `rest` pins blocks of the primal (FULL pins none); the subgradient
+    covers the active duals only, in `rest.active_duals` order. Its
+    entries are the dualized-constraint residuals at the minimizer, with
+    tau*rate(E/tau) taken as 0 at tau = 0.
+    """
     if rest.l_a_pinned is None and d.bounded_below_slack(p) < 0.0:
         raise DualInfeasibleError(f"dual point outside the feasible set: {d}")
 

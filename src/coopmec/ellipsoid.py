@@ -10,7 +10,7 @@ tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,17 +31,6 @@ class CutOracleResult:
 
 
 @dataclass
-class EllipsoidState:
-    """E = {x : (x - center)' A^{-1} (x - center) <= 1}."""
-
-    center: np.ndarray
-    shape: np.ndarray              # symmetric positive definite
-    iteration: int = 0
-    best_point: np.ndarray | None = None
-    best_value: float = -np.inf
-
-
-@dataclass
 class EllipsoidResult:
     best_point: np.ndarray | None
     best_value: float
@@ -53,8 +42,6 @@ class EllipsoidResult:
     center: np.ndarray | None = None
     axis_radii: np.ndarray | None = None
     shape_det: float = float("nan")
-    # (iteration, objective value, gap bound) per objective cut
-    trace: list[tuple[int, float, float]] = field(default_factory=list)
 
 
 def ellipsoid_run(
@@ -87,7 +74,6 @@ def ellipsoid_run(
 
     best_point: np.ndarray | None = None
     best_value = -np.inf
-    trace: list[tuple[int, float, float]] = []
     gap_bound = np.inf
     converged = False
     restarts = 0
@@ -111,7 +97,6 @@ def ellipsoid_run(
                 best_point = center.copy()
             gnorm2 = float(g @ A @ g)
             gap_bound = np.sqrt(max(gnorm2, 0.0))
-            trace.append((it, res.value, gap_bound))
             if gap_bound <= max(tol, tol_rel * abs(best_value)) and coords_tight():
                 converged = True
                 break
@@ -154,7 +139,6 @@ def ellipsoid_run(
         center=center,
         axis_radii=np.sqrt(np.maximum(np.diag(A), 0.0)),
         shape_det=float(np.linalg.det(A)),
-        trace=trace,
     )
 
 
@@ -164,11 +148,3 @@ def _restart(best_point, center, radius, restarts):
     anchor = center if best_point is None else best_point
     r = radius * (2.0**restarts)
     return anchor.copy(), np.diag(r**2), restarts
-
-
-def trace_to_csv(trace: list[tuple[int, float, float]]) -> str:
-    """Render a run trace as CSV rows (iter, g_value, gap_bound)."""
-    lines = ["iter,g_value,gap_bound"]
-    for it, val, gap in trace:
-        lines.append(f"{it},{val:.12g},{gap:.12g}")
-    return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ communication-cooperation mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,17 +22,22 @@ from .dual import (
     solve_sub2,
     solve_sub3,
 )
-from .lp import INFEASIBLE, OPTIMAL, LpProblem, lp_solve
+from .lp import OPTIMAL, LpProblem, lp_solve
 from .oracle import max_kkt_residual
 from .model import (
+    LINK_HELPER_AP,
+    LINK_USER_AP,
+    LINK_USER_HELPER,
     LN2,
     Allocation,
     ConstraintReport,
     SystemParams,
     check_feasible,
+    inv_rate_power,
     r0,
     r01,
     r1,
+    rate,
     total_energy,
 )
 
@@ -62,7 +67,6 @@ class SolveReport:
     mode_label: str = ""
     l_max: float | None = None
     feasibility: ConstraintReport | None = None
-    trace: list[tuple[int, float, float]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -158,11 +162,14 @@ def recover_primal(
     """Rebuild a feasible allocation from a (near-)optimal dual point.
 
     The closed-form quantities P_i, M1, l_u are frozen at d; the slot
-    durations and l_a come from the recovery LP. The compute rates M1 and
-    l_u come out of square roots and wobble hard where a route is only
-    marginally profitable, so the LP solution competes against two snap
-    candidates (helper route dropped; everything local) and the cheapest
-    feasible allocation wins.
+    durations and l_a come from the recovery LP, solved once and, if the
+    frozen powers fall a hair short, once more with a power margin (see
+    _lp_allocation). The compute rates M1 and l_u come out of square
+    roots and wobble hard where a route is only marginally profitable, so
+    the LP solution competes against two snap candidates (helper route
+    dropped, through the same LP; everything local, with no LP) and the
+    cheapest feasible allocation wins. A call makes at most four LP
+    solves.
     """
     _, sol, _ = eval_dual_restricted(d, p, rest)
     candidates: list[Allocation] = []
@@ -195,210 +202,119 @@ def recover_primal(
     return best
 
 
-#: escalating relative power bumps; a hair of extra rate restores slack
-#: when the frozen closed-form powers leave the LP marginally infeasible
-_POWER_BUMPS = (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
+#: the links each transmit slot feeds (tau2 broadcasts to the AP and the helper)
+_SLOT_LINKS = {
+    "tau1": (LINK_USER_HELPER,),
+    "tau2": (LINK_USER_AP, LINK_USER_HELPER),
+    "tau3": (LINK_HELPER_AP,),
+}
 
 
 def _lp_allocation(sol, p: SystemParams, rest: Restriction) -> Allocation:
-    """The recovery LP proper: slots and l_a with the closed-form values frozen.
+    """The recovery LP: slots and l_a with the closed-form values frozen.
 
-    Two escalations cover marginal infeasibility at finite dual accuracy:
-    the bit-partition equality opens a one-sided overshoot band (up to
-    1e-3*L, shed again after the solve), and the frozen transmit powers
-    are bumped by the smallest relative margin that restores feasibility
-    (ladder, then geometric bisection; capped at the power boxes).
-    Leftover bit imbalance is folded back into l_u within its frequency
-    cap.
+    The first solve keeps the closed-form powers. At finite dual accuracy
+    they can leave the LP a hair short of feasible; the one fallback
+    solve then gives every slot in use a second column at its power cap,
+    so the LP itself prices the margin that restores feasibility and
+    buys the cheapest one, with no search over margins.
     """
-    def attempt(bump: float) -> Allocation | None:
-        P1 = min(sol.P1 * (1.0 + bump), p.P_u_max)
-        P2 = min(sol.P2 * (1.0 + bump), p.P_u_max)
-        P3 = min(sol.P3 * (1.0 + bump), p.P_h_max)
-        alloc = _lp_allocation_at(sol, p, rest, P1, P2, P3)
-        if alloc is None or not check_feasible(alloc, p).feasible(0.5 * FEAS_TOL):
-            return None
-        return alloc
-
-    last_bad = None
-    alloc = None
-    for bump in _POWER_BUMPS:
-        alloc = attempt(bump)
-        if alloc is not None:
-            break
-        last_bad = bump
-    if alloc is None:
-        raise RecoveryError("recovery LP infeasible through all relaxations")
-    if last_bad:
-        # shave the bump down to (nearly) the minimal feasible margin
-        lo, hi = last_bad, bump
-        for _ in range(25):
-            mid = (lo * hi) ** 0.5
-            cand = attempt(mid)
-            if cand is None:
-                lo = mid
-            else:
-                hi = mid
-                alloc = cand
-    return alloc
+    for at_cap in (False, True):
+        alloc = _recovery_lp(sol, p, rest, at_cap)
+        if alloc is not None and check_feasible(alloc, p).feasible(0.5 * FEAS_TOL):
+            return alloc
+    raise RecoveryError("recovery LP infeasible even at the power caps")
 
 
-def _lp_allocation_at(
-    sol, p: SystemParams, rest: Restriction, P1: float, P2: float, P3: float
+def _recovery_lp(
+    sol, p: SystemParams, rest: Restriction, at_cap: bool
 ) -> Allocation | None:
-    bit_scale = max(p.L, 1.0)
+    """One solve over the slot columns and l_a; None if infeasible.
+
+    With `at_cap`, a slot's two columns merge into one slot at the least
+    power that carries the bits of both. The rate is concave in power, so
+    that power is at most their mean E/tau and the merged energy is at
+    most what the LP paid.
+    """
     ca_f = p.c_a / p.f_a_max
     l_u_eff = min(sol.l_u, p.L)  # the subproblem box does not know L
-
-    names = []
-    shed = rest.helper_path and sol.M1 > 0.0
-    if rest.helper_path:
-        names.append("tau1")
-    if shed:
-        # sub-bit slack off the helper load M1*(T - tau1); the rigid
-        # coupling otherwise leaves the LP a single feasible point that
-        # finite dual precision can miss by a hair
-        names.append("s_h")
-    if rest.relay_path:
-        names.extend(["tau2", "tau3"])
     la_free = rest.l_a_pinned is None
-    if la_free:
-        names.append("l_a")
-    col = {name: i for i, name in enumerate(names)}
-    n = len(names)
+    la_fixed = 0.0 if la_free else rest.l_a_pinned
+    M1 = sol.M1
+    frozen = {"tau1": sol.P1, "tau2": sol.P2, "tau3": sol.P3}
+    cap = {"tau1": p.P_u_max, "tau2": p.P_u_max, "tau3": p.P_h_max}
+    open_slots = ["tau1"] * rest.helper_path + ["tau2", "tau3"] * rest.relay_path
+    cols = [(s, frozen[s]) for s in open_slots]
+    if at_cap:
+        # a slot the dual priced off (P = 0) stays shut: opening it at
+        # the cap leaves a sliver of bits on a route the optimum avoids
+        cols += [(s, cap[s]) for s in open_slots if frozen[s] > 0.0]
+    n = len(cols) + la_free
 
-    def row(**coef) -> list[float]:
-        out = [0.0] * n
-        for k, v in coef.items():
-            out[col[k]] = v
-        return out
-
-    c = [0.0] * n
-    if rest.helper_path:
-        c[col["tau1"]] = P1 - p.kappa_h * (p.c_h * sol.M1) ** 3
-    if shed:
-        # penalized: the LP sheds helper bits only to restore feasibility
-        c[col["s_h"]] = 3.0 * p.kappa_h * p.c_h**3 * sol.M1**2
-    if rest.relay_path:
-        c[col["tau2"]] = P2
-        c[col["tau3"]] = P3
-
-    A_ub: list[list[float]] = []
-    b_ub: list[float] = []
-    if rest.helper_path:
-        # M1 (T - tau1) - s_h <= tau1 r01(P1)
-        r = row(tau1=-(sol.M1 + r01(P1, p)))
-        if shed:
-            r[col["s_h"]] = -1.0
-        A_ub.append(r)
-        b_ub.append(-sol.M1 * p.T)
-    if rest.relay_path:
-        la_fixed = 0.0 if la_free else rest.l_a_pinned
-        r = row(tau2=-r0(P2, p), tau3=-r1(P3, p))
+    def row(slot_coef, l_a: float = 0.0) -> np.ndarray:
+        r = np.zeros(n)
+        for j, (slot, P) in enumerate(cols):
+            r[j] = slot_coef(slot, P)
         if la_free:
-            r[col["l_a"]] = 1.0
-        A_ub.append(r)
-        b_ub.append(-la_fixed)
-        r = row(tau2=-r01(P2, p))
-        if la_free:
-            r[col["l_a"]] = 1.0
-        A_ub.append(r)
-        b_ub.append(-la_fixed)
-    # block deadline
-    r = row(**{name: 1.0 for name in names if name.startswith("tau")})
-    dl = p.T
-    if la_free:
-        r[col["l_a"]] = ca_f
-    else:
-        dl -= ca_f * rest.l_a_pinned
-    A_ub.append(r)
-    b_ub.append(dl)
+            r[-1] = l_a
+        return r
 
-    part_row = None
-    part_rhs = 0.0
+    # the helper computes M1 (T - tau1) bits, idle while tau1 runs
+    helper_c = p.kappa_h * (p.c_h * M1) ** 3
+    c = row(lambda s, P: P - helper_c if s == "tau1" else P)
+    A_ub, b_ub = [], []
+    if rest.helper_path:
+        # M1 (T - tau1) <= tau1 r01(P1)
+        A_ub.append(row(lambda s, P: -(M1 + r01(P, p)) * (s == "tau1")))
+        b_ub.append(-M1 * p.T)
+    if rest.relay_path:
+        # l_a <= tau2 r0(P2) + tau3 r1(P3) and l_a <= tau2 r01(P2)
+        to_ap = {"tau2": r0, "tau3": r1}
+        A_ub.append(row(lambda s, P: -to_ap[s](P, p) if s in to_ap else 0.0, l_a=1.0))
+        A_ub.append(row(lambda s, P: -r01(P, p) * (s == "tau2"), l_a=1.0))
+        b_ub += [-la_fixed, -la_fixed]
+    A_ub.append(row(lambda s, P: 1.0, l_a=ca_f))      # block deadline
+    b_ub.append(p.T - ca_f * la_fixed)
     if rest.partition_active:
-        part_row = row()
-        if rest.helper_path:
-            part_row[col["tau1"]] = -sol.M1
-        if shed:
-            part_row[col["s_h"]] = -1.0
-        if la_free:
-            part_row[col["l_a"]] = 1.0
-        la_fixed = 0.0 if la_free else rest.l_a_pinned
-        part_rhs = p.L - l_u_eff - la_fixed - (sol.M1 * p.T if rest.helper_path else 0.0)
+        # carry the task's bits, less at most a hair that stays inside the
+        # feasibility tolerance and is folded back into l_u below
+        part = row(lambda s, P: -M1 * (s == "tau1"), l_a=1.0)
+        rhs = p.L - l_u_eff - la_fixed - M1 * p.T
+        A_ub += [part, -part]
+        b_ub += [rhs, 0.25 * FEAS_TOL * max(p.L, 1.0) - rhs]
 
-    lb = np.zeros(n)
-    ub = np.array([
-        1e-6 * bit_scale if name == "s_h" else p.T if name.startswith("tau") else p.L
-        for name in names
-    ])
-
-    # one-sided band: carry at least the required bits (less a hair that
-    # stays inside the feasibility tolerance), allow a growing overshoot
-    # that the downward bit repair below removes safely
-    hair = 0.25 * FEAS_TOL * bit_scale
-    eps = 0.0
-    while True:
-        A = list(A_ub)
-        b = list(b_ub)
-        if part_row is not None:
-            A.append(part_row)
-            b.append(part_rhs + eps)
-            A.append([-v for v in part_row])
-            b.append(-(part_rhs - hair))
-        lp = lp_solve(LpProblem(
-            c=np.array(c), A_ub=np.array(A), b_ub=np.array(b), lb=lb, ub=ub
-        ))
-        if lp.status == OPTIMAL:
-            break
-        if lp.status == INFEASIBLE and eps < 1e-3 * bit_scale:
-            eps = 1e-9 * bit_scale if eps == 0.0 else 2.0 * eps
-            continue
+    ub = row(lambda s, P: p.T, l_a=p.L)
+    lp = lp_solve(LpProblem(c=c, A_ub=np.array(A_ub), b_ub=np.array(b_ub),
+                            lb=np.zeros(n), ub=ub))
+    if lp.status != OPTIMAL:
         return None
 
-    x = lp.x
-    tau1 = x[col["tau1"]] if rest.helper_path else 0.0
-    tau2 = x[col["tau2"]] if rest.relay_path else 0.0
-    tau3 = x[col["tau3"]] if rest.relay_path else 0.0
-    l_a = x[col["l_a"]] if la_free else rest.l_a_pinned
-    l_h = sol.M1 * (p.T - tau1) if rest.helper_path else 0.0
-    if shed:
-        l_h = max(l_h - x[col["s_h"]], 0.0)
+    tau, power = {}, dict(frozen)
+    for slot, links in _SLOT_LINKS.items():
+        shares = [(P, t) for (s, P), t in zip(cols, lp.x) if s == slot]
+        tau[slot] = sum(t for _, t in shares)
+        if any(P != frozen[slot] and t > 0.0 for P, t in shares):
+            mean_rates = [sum(t * rate(link, P, p) for P, t in shares) / tau[slot]
+                          for link in links]
+            power[slot] = max(inv_rate_power(link, r, p) for link, r in zip(links, mean_rates))
+    l_a = lp.x[-1] if la_free else la_fixed
+    l_h = M1 * (p.T - tau["tau1"])
     # trim idle slots the LP may have left open at zero objective cost
-    if sol.M1 == 0.0:
-        tau1 = 0.0
+    if M1 == 0.0:
+        tau["tau1"] = 0.0
     if l_a == 0.0:
-        tau2 = tau3 = 0.0
-    elif P3 == 0.0 and l_a <= tau2 * r0(P2, p):
-        tau3 = 0.0
+        tau["tau2"] = tau["tau3"] = 0.0
+    elif power["tau3"] == 0.0 and l_a <= tau["tau2"] * r0(power["tau2"], p):
+        tau["tau3"] = 0.0
     l_u = l_u_eff
     if rest.partition_active:
-        # exact bit balance: fold into l_u, then shed any overshoot
-        # (reducing bits never violates a rate or window constraint)
+        # exact bit balance: fold the hair into l_u
         l_u = min(max(p.L - l_h - l_a, 0.0), p.T * p.f_u_max / p.c_u)
-        excess = l_u + l_h + l_a - p.L
-        if excess > 0.0:
-            for name in ("l_a", "l_h", "l_u"):
-                if excess <= 0.0:
-                    break
-                if name == "l_a" and la_free:
-                    cut = min(l_a, excess)
-                    l_a -= cut
-                    excess -= cut
-                elif name == "l_h":
-                    cut = min(l_h, excess)
-                    l_h -= cut
-                    excess -= cut
-                elif name == "l_u":
-                    cut = min(l_u, excess)
-                    l_u -= cut
-                    excess -= cut
     return Allocation.build(
-        p,
-        tau1=tau1, tau2=tau2, tau3=tau3,
-        P1=P1 if tau1 > 0.0 else 0.0,
-        P2=P2 if tau2 > 0.0 else 0.0,
-        P3=P3 if tau3 > 0.0 else 0.0,
+        p, tau1=tau["tau1"], tau2=tau["tau2"], tau3=tau["tau3"],
+        P1=power["tau1"] if tau["tau1"] > 0.0 else 0.0,
+        P2=power["tau2"] if tau["tau2"] > 0.0 else 0.0,
+        P3=power["tau3"] if tau["tau3"] > 0.0 else 0.0,
         l_u=l_u, l_h=l_h, l_a=l_a,
     )
 
@@ -482,7 +398,6 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
                 iterations=iters,
                 mode_label=label,
                 feasibility=feas,
-                trace=res.trace,
             )
             if report.ok:
                 # certified points are interchangeable only up to energy
@@ -658,7 +573,6 @@ def _face_polish(report: SolveReport, p: SystemParams) -> SolveReport:
         iterations=report.iterations,
         mode_label=report.mode_label,
         feasibility=feas,
-        trace=report.trace,
     )
 
 
@@ -717,7 +631,6 @@ def _polish_inactive_routes(report: SolveReport, p: SystemParams) -> SolveReport
         iterations=report.iterations + sub.iterations,
         mode_label=report.mode_label,
         feasibility=sub.feasibility,
-        trace=report.trace,
     )
 
 

@@ -9,7 +9,6 @@ from coopmec.dual import (
     DualInfeasibleError,
     DualPoint,
     Restriction,
-    eval_dual,
     eval_dual_restricted,
     solve_sub1,
     solve_sub2,
@@ -198,7 +197,7 @@ def test_sub4_examples():
 
 def test_eval_dual_zero_point(p_default):
     d = DualPoint(0.0, 0.0, 0.0, 0.0, 0.0)
-    g, sol, sub = eval_dual(d, p_default)
+    g, sol, sub = eval_dual_restricted(d, p_default, FULL)
     assert g == 0.0
     assert sol.l_u == sol.l_h == sol.l_a == 0.0
     assert sol.tau1 == sol.tau2 == sol.tau3 == 0.0
@@ -210,8 +209,8 @@ def test_eval_dual_supergradient_inequality(p_default, rng):
     for _ in range(40):
         d = random_dual(rng, p_default)
         d2 = random_dual(rng, p_default)
-        g1, _, s1 = eval_dual(d, p_default)
-        g2, _, _ = eval_dual(d2, p_default)
+        g1, _, s1 = eval_dual_restricted(d, p_default, FULL)
+        g2, _, _ = eval_dual_restricted(d2, p_default, FULL)
         lin = g1 + float(s1 @ (d2.as_array() - d.as_array()))
         assert g2 <= lin + 1e-9 * max(1.0, abs(lin))
 
@@ -223,9 +222,9 @@ def test_eval_dual_concavity_midpoint(p_default, rng):
         mid = DualPoint.from_array(0.5 * (a.as_array() + b.as_array()))
         if not mid.feasible(p_default):
             continue
-        gm, _, _ = eval_dual(mid, p_default)
-        ga, _, _ = eval_dual(a, p_default)
-        gb, _, _ = eval_dual(b, p_default)
+        gm, _, _ = eval_dual_restricted(mid, p_default, FULL)
+        ga, _, _ = eval_dual_restricted(a, p_default, FULL)
+        gb, _, _ = eval_dual_restricted(b, p_default, FULL)
         assert gm >= 0.5 * (ga + gb) - 1e-9 * max(1.0, abs(gm))
 
 
@@ -234,14 +233,14 @@ def test_weak_duality_against_solver_allocation(p_default, rng):
     assert rep.ok
     for _ in range(30):
         d = random_dual(rng, p_default)
-        g, _, _ = eval_dual(d, p_default)
+        g, _, _ = eval_dual_restricted(d, p_default, FULL)
         assert g <= rep.energy * (1.0 + 1e-9) + 1e-12
 
 
 def test_box_bounds_exact(p_default, rng):
     for _ in range(40):
         d = random_dual(rng, p_default)
-        _, sol, _ = eval_dual(d, p_default)
+        _, sol, _ = eval_dual_restricted(d, p_default, FULL)
         assert 0.0 <= sol.P1 <= p_default.P_u_max
         assert 0.0 <= sol.P2 <= p_default.P_u_max
         assert 0.0 <= sol.P3 <= p_default.P_h_max
@@ -253,10 +252,10 @@ def test_box_bounds_exact(p_default, rng):
 
 def test_dual_infeasible_rejected(p_default):
     with pytest.raises(DualInfeasibleError):
-        eval_dual(DualPoint(-1e-9, 0, 0, 0, 0), p_default)
+        eval_dual_restricted(DualPoint(-1e-9, 0, 0, 0, 0), p_default, FULL)
     # mu2 above the l_a coefficient cap makes the dual unbounded below
     with pytest.raises(DualInfeasibleError):
-        eval_dual(DualPoint(1.0, 0.0, 0.0, 0.0, 1.0), p_default)
+        eval_dual_restricted(DualPoint(1.0, 0.0, 0.0, 0.0, 1.0), p_default, FULL)
 
 
 def test_kkt_stationarity_at_interior_subproblem_solutions(p_default, rng):
@@ -314,7 +313,7 @@ def test_restricted_eval_matches_manual_lagrangian(p_default):
 
 def test_eval_dual_thread_safe(p_default, rng):
     duals = [random_dual(rng, p_default) for _ in range(40)]
-    serial = [eval_dual(d, p_default)[0] for d in duals]
+    serial = [eval_dual_restricted(d, p_default, FULL)[0] for d in duals]
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as ex:
-        parallel = list(ex.map(lambda d: eval_dual(d, p_default)[0], duals))
+        parallel = list(ex.map(lambda d: eval_dual_restricted(d, p_default, FULL)[0], duals))
     assert serial == parallel

@@ -9,7 +9,6 @@ from coopmec.ellipsoid import (
     CutOracleResult,
     OracleError,
     ellipsoid_run,
-    trace_to_csv,
 )
 
 
@@ -139,14 +138,3 @@ def test_degenerate_feasibility_cut_raises():
 def test_bad_radius_rejected():
     with pytest.raises(ValueError):
         ellipsoid_run(quadratic_oracle, np.zeros(1), 0.0)
-
-
-def test_trace_csv_roundtrip():
-    res = ellipsoid_run(quadratic_oracle, np.array([7.0]), 10.0, tol=1e-8)
-    csv = trace_to_csv(res.trace)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "iter,g_value,gap_bound"
-    assert len(lines) == len(res.trace) + 1
-    first = lines[1].split(",")
-    assert int(first[0]) == res.trace[0][0]
-    assert float(first[1]) == pytest.approx(res.trace[0][1], rel=1e-10)
