@@ -2,7 +2,7 @@
 oracle verification runs.
 
 Exit codes: 0 success, 1 every sweep point infeasible, 2 configuration
-error, 3 nonconvergence in a requested solve.
+error, 3 nonconvergence in a requested solve, 4 solver fault.
 """
 
 from __future__ import annotations
@@ -11,10 +11,14 @@ import argparse
 import sys
 
 from .bench import SCHEME_LABELS, run_benchmark
+from .dual import DualInfeasibleError
+from .ellipsoid import OracleError
+from .model import InfeasibleWindowError
 from .oracle import oracle_p11
 from .p1 import (
     STATUS_INFEASIBLE,
     STATUS_NONCONVERGED,
+    RecoveryError,
     SolveReport,
     lmax_partial,
 )
@@ -30,6 +34,11 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_CONFIG = 2
 EXIT_NONCONVERGED = 3
+EXIT_SOLVER_FAULT = 4
+
+#: raised by the solver itself, never by a bad config; the first three are
+#: ValueError subclasses, so they must be caught before configuration errors
+_SOLVER_FAULTS = (OracleError, DualInfeasibleError, InfeasibleWindowError, RecoveryError)
 
 
 def _fmt(v: float) -> str:
@@ -177,6 +186,9 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
+    except _SOLVER_FAULTS as exc:
+        print(f"error: solver fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAULT
     except (ScenarioError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

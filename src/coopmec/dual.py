@@ -16,6 +16,10 @@ partition. The dual function stays bounded below iff the l_a coefficient
 lam2 + lam3 + mu1*c_a/f_a_max - mu2 is nonnegative; that inequality is the
 one boundary of the dual feasible set beyond the sign constraints.
 
+The subgradient is assembled from the rates the subproblems already
+computed at their optimal powers (r01(P1), r0(P2), r01(P2), r1(P3)), so
+one evaluation makes four rate calls.
+
 Everything is a pure function; concurrent evaluation at different dual
 points is safe.
 """
@@ -23,7 +27,9 @@ points is safe.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,9 +73,12 @@ class DualPoint:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SubproblemSolution:
-    """Assembled minimizer of the five subproblems at one dual point."""
+    """Assembled minimizer of the five subproblems at one dual point.
+
+    A fresh instance per evaluation; nothing in the package mutates it.
+    """
 
     E1: float
     E2: float
@@ -122,7 +131,8 @@ def solve_sub1(d: DualPoint, p: SystemParams) -> dict:
     gain = d.mu2 - d.lam1
     M1 = _clip(math.sqrt(gain / k3), 0.0, m_cap) if gain >= 0.0 else 0.0
 
-    price_on = P1 + d.mu1 - d.lam1 * r01(P1, p)
+    rate1 = r01(P1, p)
+    price_on = P1 + d.mu1 - d.lam1 * rate1
     price_off = p.kappa_h * p.c_h**3 * M1**3 - gain * M1
     rho1 = price_on - price_off
 
@@ -144,6 +154,7 @@ def solve_sub1(d: DualPoint, p: SystemParams) -> dict:
         "alpha1": alpha1,
         "beta1": beta1,
         "value": tau1 * price_on + (p.T - tau1) * price_off,
+        "r01": rate1,
     }
 
 
@@ -176,7 +187,8 @@ def solve_sub2(d: DualPoint, p: SystemParams) -> dict:
     else:
         P2 = _clip((math.sqrt(disc) - v) / (2.0 * u), 0.0, p.P_u_max)
 
-    rho2 = d.mu1 + phi(P2)
+    rate_ap, rate_h = r0(P2, p), r01(P2, p)
+    rho2 = d.mu1 + (P2 - d.lam2 * rate_ap - d.lam3 * rate_h)  # mu1 + phi(P2)
     alpha2 = 0.0
     if P2 >= p.P_u_max:
         alpha2 = (
@@ -186,7 +198,7 @@ def solve_sub2(d: DualPoint, p: SystemParams) -> dict:
         )
     tau2 = p.T if rho2 < -_tie(d.mu1) else 0.0
     return {"P2": P2, "tau2": tau2, "E2": P2 * tau2, "rho2": rho2,
-            "alpha2": alpha2, "value": tau2 * rho2}
+            "alpha2": alpha2, "value": tau2 * rho2, "r0": rate_ap, "r01": rate_h}
 
 
 # -- subproblem 3: helper forward slot ---------------------------------------
@@ -199,13 +211,14 @@ def solve_sub3(d: DualPoint, p: SystemParams) -> dict:
     _require_signs(d)
     g1 = p.g1
     P3 = _clip(d.lam2 * p.B / LN2 - 1.0 / g1, 0.0, p.P_h_max)
-    rho3 = d.mu1 + P3 - d.lam2 * r1(P3, p)
+    rate3 = r1(P3, p)
+    rho3 = d.mu1 + P3 - d.lam2 * rate3
     alpha3 = 0.0
     if P3 >= p.P_h_max:
         alpha3 = d.lam2 * p.B * g1 / ((1.0 + P3 * g1) * LN2) - 1.0
     tau3 = p.T if rho3 < -_tie(d.mu1) else 0.0
     return {"P3": P3, "tau3": tau3, "E3": P3 * tau3, "rho3": rho3,
-            "alpha3": alpha3, "value": tau3 * rho3}
+            "alpha3": alpha3, "value": tau3 * rho3, "r1": rate3}
 
 
 # -- subproblem 4: local bits -------------------------------------------------
@@ -231,9 +244,12 @@ def solve_sub5(d: DualPoint, p: SystemParams, L: float | None = None) -> float:
     Bang-bang on the coefficient sign; exact ties take l_a = 0 and leave
     the true value to the primal-recovery step.
     """
-    L = p.L if L is None else L
-    coef = d.bounded_below_slack(p)
-    return L if coef < -_tie(d.mu1) else 0.0
+    return _bang_bang(d.bounded_below_slack(p), d.mu1, p.L if L is None else L)
+
+
+def _bang_bang(coef: float, mu1: float, L: float) -> float:
+    # sub5's minimizer given its coefficient; the evaluator has it already
+    return L if coef < -_tie(mu1) else 0.0
 
 
 def _require_signs(d: DualPoint) -> None:
@@ -271,11 +287,12 @@ class Restriction:
         if not self.relay_path and self.l_a_pinned != 0.0:
             raise ValueError("dropping the relay path requires l_a pinned to 0")
 
-    @property
+    # cached in the instance's own __dict__; the fields are frozen
+    @cached_property
     def partition_active(self) -> bool:
         return self.local_bits or self.helper_path or self.l_a_pinned is None
 
-    @property
+    @cached_property
     def active_duals(self) -> tuple[str, ...]:
         names = []
         if self.helper_path:
@@ -287,14 +304,33 @@ class Restriction:
             names.append("mu2")
         return tuple(names)
 
-    def expand(self, x: np.ndarray) -> DualPoint:
-        vals = dict.fromkeys(DUAL_NAMES, 0.0)
-        for name, v in zip(self.active_duals, x):
-            vals[name] = float(v)
-        return DualPoint(**vals)
+    @cached_property
+    def active_index(self) -> tuple[int, ...]:
+        """Positions of the active duals in DUAL_NAMES."""
+        return tuple(DUAL_NAMES.index(name) for name in self.active_duals)
+
+    @cached_property
+    def _pick_fields(self):
+        # the DUAL_NAMES fields out of x + [0.0]: a pinned dual reads the pad
+        pos = {name: i for i, name in enumerate(self.active_duals)}
+        return operator.itemgetter(*(pos.get(name, len(pos)) for name in DUAL_NAMES))
+
+    def expand(self, x) -> DualPoint:
+        """The dual point whose active duals are x (in active_duals order);
+        the pinned ones are 0."""
+        return DualPoint(*self._pick_fields([*map(float, x), 0.0]))
 
 
 FULL = Restriction()
+
+
+# the blocks a restriction pins: their subproblems' minimizers are all zero
+_SUB1_OFF = {"P1": 0.0, "M1": 0.0, "tau1": 0.0, "E1": 0.0, "l_h": 0.0,
+             "rho1": 0.0, "alpha1": 0.0, "beta1": 0.0, "value": 0.0, "r01": 0.0}
+_SUB2_OFF = {"P2": 0.0, "tau2": 0.0, "E2": 0.0, "rho2": 0.0, "alpha2": 0.0,
+             "value": 0.0, "r0": 0.0, "r01": 0.0}
+_SUB3_OFF = {"P3": 0.0, "tau3": 0.0, "E3": 0.0, "rho3": 0.0, "alpha3": 0.0,
+             "value": 0.0, "r1": 0.0}
 
 
 def eval_dual_restricted(
@@ -307,24 +343,22 @@ def eval_dual_restricted(
     entries are the dualized-constraint residuals at the minimizer, with
     tau*rate(E/tau) taken as 0 at tau = 0.
     """
-    if rest.l_a_pinned is None and d.bounded_below_slack(p) < 0.0:
-        raise DualInfeasibleError(f"dual point outside the feasible set: {d}")
+    la_free = rest.l_a_pinned is None
+    if la_free:
+        slack = d.bounded_below_slack(p)
+        if slack < 0.0:
+            raise DualInfeasibleError(f"dual point outside the feasible set: {d}")
 
-    zero = {"P1": 0.0, "M1": 0.0, "tau1": 0.0, "E1": 0.0, "l_h": 0.0,
-            "rho1": 0.0, "alpha1": 0.0, "beta1": 0.0, "value": 0.0}
-    s1 = solve_sub1(d, p) if rest.helper_path else dict(zero)
+    s1 = solve_sub1(d, p) if rest.helper_path else _SUB1_OFF
     if rest.relay_path:
         s2 = solve_sub2(d, p)
         s3 = solve_sub3(d, p)
     else:
-        s2 = {"P2": 0.0, "tau2": 0.0, "E2": 0.0, "rho2": 0.0, "alpha2": 0.0,
-              "value": 0.0}
-        s3 = {"P3": 0.0, "tau3": 0.0, "E3": 0.0, "rho3": 0.0, "alpha3": 0.0,
-              "value": 0.0}
+        s2, s3 = _SUB2_OFF, _SUB3_OFF
     l_u = solve_sub4(d, p) if rest.local_bits else 0.0
-    if rest.l_a_pinned is None:
-        l_a = solve_sub5(d, p)
-        v5 = d.bounded_below_slack(p) * l_a
+    if la_free:
+        l_a = _bang_bang(slack, d.mu1, p.L)  # solve_sub5
+        v5 = slack * l_a
     else:
         l_a = rest.l_a_pinned
         coef = d.lam2 + d.lam3 + d.mu1 * p.c_a / p.f_a_max
@@ -337,23 +371,26 @@ def eval_dual_restricted(
     if rest.partition_active:
         g_value += d.mu2 * p.L
 
+    tau1, tau2, tau3, l_h = s1["tau1"], s2["tau2"], s3["tau3"], s1["l_h"]
+    # positional, in field order: 21 keywords would cost 2 us per call
     sol = SubproblemSolution(
-        E1=s1["E1"], E2=s2["E2"], E3=s3["E3"],
-        tau1=s1["tau1"], tau2=s2["tau2"], tau3=s3["tau3"],
-        l_u=l_u, l_h=s1["l_h"], l_a=l_a,
-        P1=s1["P1"], P2=s2["P2"], P3=s3["P3"],
-        M1=s1["M1"],
-        rho1=s1["rho1"], rho2=s2["rho2"], rho3=s3["rho3"],
-        alpha1=s1["alpha1"], alpha2=s2["alpha2"], alpha3=s3["alpha3"],
-        beta1=s1["beta1"],
-        g_value=g_value,
+        s1["E1"], s2["E2"], s3["E3"],
+        tau1, tau2, tau3,
+        l_u, l_h, l_a,
+        s1["P1"], s2["P2"], s3["P3"],
+        s1["M1"],
+        s1["rho1"], s2["rho2"], s3["rho3"],
+        s1["alpha1"], s2["alpha2"], s3["alpha3"],
+        s1["beta1"],
+        g_value,
     )
-    full_sub = {
-        "lam1": sol.l_h - sol.tau1 * r01(sol.P1, p),
-        "lam2": sol.l_a - sol.tau2 * r0(sol.P2, p) - sol.tau3 * r1(sol.P3, p),
-        "lam3": sol.l_a - sol.tau2 * r01(sol.P2, p),
-        "mu1": sol.tau1 + sol.tau2 + sol.tau3 + sol.l_a * p.c_a / p.f_a_max - p.T,
-        "mu2": p.L - sol.l_u - sol.l_h - sol.l_a,
-    }
-    sub = np.array([full_sub[name] for name in rest.active_duals])
+    # residuals of the dualized constraints, in DUAL_NAMES order
+    full_sub = (
+        l_h - tau1 * s1["r01"],
+        l_a - tau2 * s2["r0"] - tau3 * s3["r1"],
+        l_a - tau2 * s2["r01"],
+        tau1 + tau2 + tau3 + l_a * p.c_a / p.f_a_max - p.T,
+        p.L - l_u - l_h - l_a,
+    )
+    sub = np.array([full_sub[i] for i in rest.active_index])
     return g_value, sol, sub

@@ -3,13 +3,19 @@
 The caller supplies a cut oracle: at a query point it either returns a
 supergradient of the objective (objective cut, with the value) or the
 gradient of a violated constraint (feasibility cut). Each iteration
-applies the standard central-cut update; convergence is declared when the
-ellipsoid bound on the remaining objective gap, sqrt(g' A g), drops below
-tolerance.
+applies the standard central-cut update (Boyd, EE364b ellipsoid method
+notes); convergence is declared when the ellipsoid bound on the
+remaining objective gap, sqrt(g' A g), drops below tolerance.
+
+One product g' A g per iteration serves both the gap bound and the
+normalization of the cut (negating g leaves it unchanged bit for bit).
+The update A - c (Ag)(Ag)' keeps A exactly symmetric (Ag_i Ag_j =
+Ag_j Ag_i in floating point), so no re-symmetrization is needed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -82,25 +88,29 @@ def ellipsoid_run(
     def coords_tight() -> bool:
         if coord_tol is None:
             return True
-        return bool(np.all(np.sqrt(np.maximum(np.diag(A), 0.0)) <= coord_tol))
+        return bool((np.sqrt(np.maximum(A.diagonal(), 0.0)) <= coord_tol).all())
 
+    # central-cut update A <- shrink * (A - step * (Ag)(Ag)') for n > 1
+    shrink = n**2 / (n**2 - 1.0) if n > 1 else 1.0
+    step = 2.0 / (n + 1.0)
     while it < max_iter:
         it += 1
         res = oracle(center)
         g = np.asarray(res.vector, dtype=float)
-        if g.shape != (n,) or not np.all(np.isfinite(g)):
+        if g.shape != (n,) or not np.isfinite(g).all():
             raise OracleError(f"bad cut vector {res.vector!r}")
+        # the same float for the cut -g: negation is exact
+        gAg = float(g @ A @ g)
 
         if res.kind == OBJECTIVE_CUT:
             if res.value > best_value:
                 best_value = res.value
                 best_point = center.copy()
-            gnorm2 = float(g @ A @ g)
-            gap_bound = np.sqrt(max(gnorm2, 0.0))
+            gap_bound = math.sqrt(max(gAg, 0.0))
             if gap_bound <= max(tol, tol_rel * abs(best_value)) and coords_tight():
                 converged = True
                 break
-            if not (gnorm2 > 0.0):
+            if not (gAg > 0.0):
                 if np.allclose(g, 0.0):
                     # zero supergradient: the center is a maximizer
                     converged = True
@@ -110,25 +120,22 @@ def ellipsoid_run(
                 continue
             cut = -g  # keep the halfspace {z : g'(z - center) >= 0}
         elif res.kind == FEASIBILITY_CUT:
-            if np.allclose(g, 0.0):
+            if not g.any():
                 raise OracleError("zero feasibility-cut vector")
             cut = g
         else:
             raise OracleError(f"unknown cut kind {res.kind!r}")
 
-        denom = float(cut @ A @ cut)
-        if not (denom > 0.0 and np.isfinite(denom)):
+        if not (gAg > 0.0 and math.isfinite(gAg)):
             center, A, restarts = _restart(best_point, center, radius, restarts)
             continue
-        gt = cut / np.sqrt(denom)
-        Ag = A @ gt
+        Ag = A @ (cut / math.sqrt(gAg))
         if n == 1:
             center = center - Ag / 2.0
             A = A / 4.0
         else:
             center = center - Ag / (n + 1.0)
-            A = (n**2 / (n**2 - 1.0)) * (A - (2.0 / (n + 1.0)) * np.outer(Ag, Ag))
-            A = 0.5 * (A + A.T)
+            A = shrink * (A - step * (Ag[:, None] * Ag))  # the outer product
 
     return EllipsoidResult(
         best_point=best_point,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 LN2 = math.log(2.0)
 
@@ -113,16 +114,18 @@ class SystemParams:
             if not (v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be finite and positive, got {v}")
 
-    # effective SNR-per-watt slopes; the user->helper hop pays the MCS gap
-    @property
+    # effective SNR-per-watt slopes; the user->helper hop pays the MCS gap.
+    # Cached in the instance's own __dict__ (the fields are frozen), so
+    # dataclasses.replace builds an instance that computes its own.
+    @cached_property
     def g01(self) -> float:
         return self.h01 / (self.gamma_gap * self.sigma1_sq)
 
-    @property
+    @cached_property
     def g0(self) -> float:
         return self.h0 / self.sigma0_sq
 
-    @property
+    @cached_property
     def g1(self) -> float:
         return self.h1 / self.sigma0_sq
 
@@ -154,16 +157,24 @@ def inv_rate_power(link: str, r: float, p: SystemParams) -> float:
     return (2.0 ** (r / p.B) - 1.0) / p.snr_slope(link)
 
 
+# the three hops' rates without the link dispatch; each equals
+# rate(link, P, p) bit for bit
 def r01(P: float, p: SystemParams) -> float:
-    return rate(LINK_USER_HELPER, P, p)
+    if P < 0.0:
+        raise ValueError(f"power must be nonnegative, got {P}")
+    return p.B * math.log2(1.0 + P * p.g01)
 
 
 def r0(P: float, p: SystemParams) -> float:
-    return rate(LINK_USER_AP, P, p)
+    if P < 0.0:
+        raise ValueError(f"power must be nonnegative, got {P}")
+    return p.B * math.log2(1.0 + P * p.g0)
 
 
 def r1(P: float, p: SystemParams) -> float:
-    return rate(LINK_HELPER_AP, P, p)
+    if P < 0.0:
+        raise ValueError(f"power must be nonnegative, got {P}")
+    return p.B * math.log2(1.0 + P * p.g1)
 
 
 def local_compute_energy(l: float, window: float, kappa: float, c: float) -> float:

@@ -130,26 +130,40 @@ def _dual_scales(p: SystemParams, rest: Restriction) -> np.ndarray:
 
 
 def _make_oracle(p: SystemParams, rest: Restriction):
+    """The ellipsoid's cut oracle over the active duals of `rest`.
+
+    Index lists and the constant cut vectors are built once here; a call
+    reads the point as Python floats, and the point goes to the dual
+    evaluator only when it lies in the dual feasible set.
+    """
     names = rest.active_duals
     idx = {name: i for i, name in enumerate(names)}
     n = len(names)
     ca_f = p.c_a / p.f_a_max
 
+    def cut(entries: dict[str, float]) -> np.ndarray:
+        v = np.zeros(n)
+        for name, value in entries.items():
+            v[idx[name]] = value
+        v.flags.writeable = False  # shared by every call that returns it
+        return v
+
+    # the sign-constrained prices (mu2 is free), each with its cut -e_i
+    sign_cuts = [(i, cut({name: -1.0})) for i, name in enumerate(names)
+                 if name != "mu2"]
+    slack_cut = None
+    if rest.l_a_pinned is None:
+        slack_cut = cut({"lam2": -1.0, "lam3": -1.0, "mu1": -ca_f, "mu2": 1.0})
+
     def oracle(x: np.ndarray) -> ell.CutOracleResult:
-        for i, name in enumerate(names):
-            if name != "mu2" and x[i] < 0.0:
-                e = np.zeros(n)
-                e[i] = -1.0
+        xs = x.tolist()
+        for i, e in sign_cuts:
+            if xs[i] < 0.0:
                 return ell.CutOracleResult(ell.FEASIBILITY_CUT, e)
-        d = rest.expand(x)
+        d = rest.expand(xs)
         # same slack evaluation as the dual module, bit for bit
-        if rest.l_a_pinned is None and d.bounded_below_slack(p) < 0.0:
-            v = np.zeros(n)
-            v[idx["lam2"]] = -1.0
-            v[idx["lam3"]] = -1.0
-            v[idx["mu1"]] = -ca_f
-            v[idx["mu2"]] = 1.0
-            return ell.CutOracleResult(ell.FEASIBILITY_CUT, v)
+        if slack_cut is not None and d.bounded_below_slack(p) < 0.0:
+            return ell.CutOracleResult(ell.FEASIBILITY_CUT, slack_cut)
         g, _, sub = eval_dual_restricted(d, p, rest)
         return ell.CutOracleResult(ell.OBJECTIVE_CUT, sub, g)
 

@@ -1,13 +1,19 @@
 import pytest
 
+import coopmec.cli
 from coopmec.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    EXIT_SOLVER_FAULT,
     main,
     run_sweep,
 )
+from coopmec.dual import DualInfeasibleError
+from coopmec.ellipsoid import OracleError
+from coopmec.model import InfeasibleWindowError
+from coopmec.p1 import RecoveryError
 from coopmec.scenario import Scenario, ScenarioError
 
 
@@ -45,6 +51,22 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     rc = main(["solve", "--config", str(tmp_path / "missing.cfg")])
     assert rc == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "fault", [OracleError, DualInfeasibleError, InfeasibleWindowError, RecoveryError]
+)
+def test_solver_fault_exit_code(tmp_path, capsys, monkeypatch, fault):
+    # three of the four are ValueErrors, yet none is a configuration error
+    def broken(scheme, p):
+        raise fault("injected")
+
+    monkeypatch.setattr(coopmec.cli, "run_benchmark", broken)
+    rc = main(["solve", "--config", cfg(tmp_path, "")])
+    assert rc == EXIT_SOLVER_FAULT
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver fault: ")
+    assert "injected" in err
 
 
 def test_feascheck(tmp_path, capsys):

@@ -16,7 +16,7 @@ from coopmec.dual import (
     solve_sub4,
     solve_sub5,
 )
-from coopmec.model import LN2, SystemParams, r01
+from coopmec.model import LN2, SystemParams, r0, r01, r1
 from coopmec.oracle import refine_grid
 from coopmec.p1 import solve_p1
 from conftest import desk_params
@@ -317,3 +317,27 @@ def test_eval_dual_thread_safe(p_default, rng):
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as ex:
         parallel = list(ex.map(lambda d: eval_dual_restricted(d, p_default, FULL)[0], duals))
     assert serial == parallel
+
+
+def test_subgradient_is_the_residual_vector_bit_for_bit(p_default, rng):
+    # the evaluator reuses the subproblems' rates; the entries must equal
+    # the dualized-constraint residuals recomputed from the model's rates
+    p = p_default
+    rests = [FULL, Restriction(helper_path=False),
+             Restriction(relay_path=False, l_a_pinned=0.0),
+             Restriction(helper_path=False, local_bits=False, l_a_pinned=p.L)]
+    for _ in range(40):
+        d = random_dual(rng, p)
+        for rest in rests:
+            _, s, sub = eval_dual_restricted(d, p, rest)
+            full = {
+                "lam1": s.l_h - s.tau1 * r01(s.P1, p),
+                "lam2": s.l_a - s.tau2 * r0(s.P2, p) - s.tau3 * r1(s.P3, p),
+                "lam3": s.l_a - s.tau2 * r01(s.P2, p),
+                "mu1": s.tau1 + s.tau2 + s.tau3 + s.l_a * p.c_a / p.f_a_max - p.T,
+                "mu2": p.L - s.l_u - s.l_h - s.l_a,
+            }
+            assert sub.tolist() == [full[name] for name in rest.active_duals]
+            assert rest.expand(sub.tolist()) == DualPoint(
+                **{name: full[name] if name in rest.active_duals else 0.0
+                   for name in full})

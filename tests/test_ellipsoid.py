@@ -138,3 +138,74 @@ def test_degenerate_feasibility_cut_raises():
 def test_bad_radius_rejected():
     with pytest.raises(ValueError):
         ellipsoid_run(quadratic_oracle, np.zeros(1), 0.0)
+
+
+def textbook_run(oracle, center, radius, max_iter):
+    """The central-cut update as first written, with no convergence test:
+    both quadratic forms g'Ag and cut'A cut, A @ gt, np.outer, and a
+    re-symmetrization of A on every step."""
+    n = center.size
+    A = np.diag(radius**2)
+    best_point, best_value, gap_bound = None, -np.inf, np.inf
+    for _ in range(max_iter):
+        res = oracle(center)
+        g = res.vector
+        if res.kind == OBJECTIVE_CUT:
+            if res.value > best_value:
+                best_point, best_value = center.copy(), res.value
+            gap_bound = np.sqrt(max(float(g @ A @ g), 0.0))
+            cut = -g
+        else:
+            cut = g
+        gt = cut / np.sqrt(float(cut @ A @ cut))
+        Ag = A @ gt
+        center = center - Ag / (n + 1.0)
+        A = (n**2 / (n**2 - 1.0)) * (A - (2.0 / (n + 1.0)) * np.outer(Ag, Ag))
+        A = 0.5 * (A + A.T)
+    return (best_point, best_value, gap_bound, center,
+            np.sqrt(np.maximum(np.diag(A), 0.0)), float(np.linalg.det(A)))
+
+
+def test_kernel_matches_textbook_update_bit_for_bit():
+    # maximize a nonsmooth concave function over {x >= 0, sum(x) <= 3},
+    # whose optimum sits on that boundary, so both cut kinds keep firing
+    target = np.array([1.0, -0.5, 2.0, 0.3, -1.0])
+    w = np.array([1.0, 2.0, 0.5, 3.0, 1.5])
+
+    def make_oracle(queried, kinds):
+        def oracle(x):
+            queried.append(x.copy())
+            neg = np.flatnonzero(x < 0.0)
+            if neg.size:
+                e = np.zeros(5)
+                e[neg[0]] = -1.0
+                res = CutOracleResult(FEASIBILITY_CUT, e)
+            elif x.sum() > 3.0:
+                res = CutOracleResult(FEASIBILITY_CUT, np.ones(5))
+            else:
+                dx = x - target
+                res = CutOracleResult(OBJECTIVE_CUT, -w * np.sign(dx) - 2.0 * dx,
+                                      float(-w @ np.abs(dx) - dx @ dx))
+            kinds.append(res.kind)
+            return res
+        return oracle
+
+    iters = 400
+    center0, radius = np.full(5, 0.7), np.array([3.0, 1.0, 4.0, 2.0, 1.5])
+    ref_queried, kinds = [], []
+    ref = textbook_run(make_oracle(ref_queried, kinds), center0, radius, iters)
+    queried = []
+    res = ellipsoid_run(make_oracle(queried, []), center0, radius,
+                        tol=0.0, max_iter=iters)
+
+    assert kinds.count(OBJECTIVE_CUT) > 100 and kinds.count(FEASIBILITY_CUT) > 100
+    assert res.iterations == iters and not res.converged
+    assert len(queried) == len(ref_queried) == iters
+    assert all(np.array_equal(a, b) for a, b in zip(queried, ref_queried))
+    best_point, best_value, gap_bound, center, axis_radii, shape_det = ref
+    assert np.array_equal(res.best_point, best_point)
+    assert res.best_value == best_value
+    assert res.gap_bound == gap_bound
+    assert np.array_equal(res.center, center)
+    assert np.array_equal(res.axis_radii, axis_radii)
+    assert res.shape_det == shape_det

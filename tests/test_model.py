@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from coopmec.model import (
@@ -212,3 +214,38 @@ def test_max_violation_is_max_of_positive_residuals(p_default):
     assert rep.max_violation == pytest.approx(
         max(0.0, max(rep.residuals.values())), abs=0.0
     )
+
+
+def test_hop_rates_equal_rate_bit_for_bit(rng):
+    p = desk_params(gamma_gap=1.7)
+    powers = [0.0, 1e-12, p.P_u_max, *rng.uniform(0.0, 2.0 * p.P_u_max, 200)]
+    for P in map(float, powers):
+        assert r01(P, p) == rate("user_helper", P, p)
+        assert r0(P, p) == rate("user_ap", P, p)
+        assert r1(P, p) == rate("helper_ap", P, p)
+    for fn in (r01, r0, r1):
+        with pytest.raises(ValueError):
+            fn(-1e-9, p)
+
+
+def test_cached_slopes_match_their_formulas():
+    p = desk_params(gamma_gap=1.7)
+    for _ in range(2):  # the first read computes, the second hits the cache
+        assert p.g01 == p.h01 / (p.gamma_gap * p.sigma1_sq)
+        assert p.g0 == p.h0 / p.sigma0_sq
+        assert p.g1 == p.h1 / p.sigma0_sq
+
+
+def test_cached_slopes_never_leak_across_instances():
+    p = desk_params()
+    g01, g0, g1 = p.g01, p.g0, p.g1  # fill p's cache
+    q = dataclasses.replace(p, h01=2.0 * p.h01, gamma_gap=1.5)
+    assert q.g01 == q.h01 / (q.gamma_gap * q.sigma1_sq) != g01
+    assert (q.g0, q.g1) == (g0, g1)
+    assert p.g01 == g01
+    r = dataclasses.replace(p, sigma0_sq=4.0 * p.sigma0_sq)
+    assert r.g0 == r.h0 / r.sigma0_sq != g0
+    assert r.g1 == r.h1 / r.sigma0_sq != g1
+    # the cache is not part of the value
+    assert dataclasses.replace(p, L=p.L) == p
+    assert desk_params().g01 == g01
