@@ -27,7 +27,6 @@ points is safe.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,12 +72,13 @@ class DualPoint:
         )
 
 
+# Not frozen: a frozen dataclass sets its 21 fields through
+# object.__setattr__, about 4 us of each ~28 us dual evaluation. So
+# instances are mutable and unhashable; each evaluation returns a fresh one
+# and nothing in the package mutates it.
 @dataclass(slots=True)
 class SubproblemSolution:
-    """Assembled minimizer of the five subproblems at one dual point.
-
-    A fresh instance per evaluation; nothing in the package mutates it.
-    """
+    """Assembled minimizer of the five subproblems at one dual point."""
 
     E1: float
     E2: float
@@ -174,21 +174,24 @@ def solve_sub2(d: DualPoint, p: SystemParams) -> dict:
     v = (LN2 / p.B) * (g0 + g01) - (d.lam2 + d.lam3) * g0 * g01
     w = LN2 / p.B - d.lam2 * g0 - d.lam3 * g01
 
-    def phi(P: float) -> float:
-        return P - d.lam2 * r0(P, p) - d.lam3 * r01(P, p)
+    def phi(P: float, rate_ap: float, rate_h: float) -> float:
+        # the per-second cost at power P, given r0(P) and r01(P)
+        return P - d.lam2 * rate_ap - d.lam3 * rate_h
 
     disc = v * v - 4.0 * u * w
     if disc < 0.0:
         # no stationary point: the derivative is single-signed, so the
-        # minimum sits at an endpoint of the power box
-        P2 = 0.0 if phi(0.0) <= phi(p.P_u_max) else p.P_u_max
+        # minimum sits at an endpoint of the power box (both rates are 0
+        # at zero power)
+        Pm = p.P_u_max
+        P2 = 0.0 if phi(0.0, 0.0, 0.0) <= phi(Pm, r0(Pm, p), r01(Pm, p)) else Pm
     elif w >= 0.0:
         P2 = 0.0  # derivative already nonnegative at zero power
     else:
         P2 = _clip((math.sqrt(disc) - v) / (2.0 * u), 0.0, p.P_u_max)
 
     rate_ap, rate_h = r0(P2, p), r01(P2, p)
-    rho2 = d.mu1 + (P2 - d.lam2 * rate_ap - d.lam3 * rate_h)  # mu1 + phi(P2)
+    rho2 = d.mu1 + phi(P2, rate_ap, rate_h)
     alpha2 = 0.0
     if P2 >= p.P_u_max:
         alpha2 = (
@@ -309,16 +312,13 @@ class Restriction:
         """Positions of the active duals in DUAL_NAMES."""
         return tuple(DUAL_NAMES.index(name) for name in self.active_duals)
 
-    @cached_property
-    def _pick_fields(self):
-        # the DUAL_NAMES fields out of x + [0.0]: a pinned dual reads the pad
-        pos = {name: i for i, name in enumerate(self.active_duals)}
-        return operator.itemgetter(*(pos.get(name, len(pos)) for name in DUAL_NAMES))
-
     def expand(self, x) -> DualPoint:
         """The dual point whose active duals are x (in active_duals order);
         the pinned ones are 0."""
-        return DualPoint(*self._pick_fields([*map(float, x), 0.0]))
+        vals = [0.0] * len(DUAL_NAMES)
+        for i, v in zip(self.active_index, x):
+            vals[i] = float(v)
+        return DualPoint(*vals)
 
 
 FULL = Restriction()

@@ -145,9 +145,13 @@ def rate(link: str, P: float, p: SystemParams) -> float:
     Shannon-type with the per-link SNR slope; concave and nondecreasing
     in P, and exactly 0 at P = 0.
     """
+    return _hop_rate(P, p.snr_slope(link), p)
+
+
+def _hop_rate(P: float, slope: float, p: SystemParams) -> float:
     if P < 0.0:
         raise ValueError(f"power must be nonnegative, got {P}")
-    return p.B * math.log2(1.0 + P * p.snr_slope(link))
+    return p.B * math.log2(1.0 + P * slope)
 
 
 def inv_rate_power(link: str, r: float, p: SystemParams) -> float:
@@ -157,24 +161,17 @@ def inv_rate_power(link: str, r: float, p: SystemParams) -> float:
     return (2.0 ** (r / p.B) - 1.0) / p.snr_slope(link)
 
 
-# the three hops' rates without the link dispatch; each equals
-# rate(link, P, p) bit for bit
+# the three hops' rates, without rate()'s link dispatch
 def r01(P: float, p: SystemParams) -> float:
-    if P < 0.0:
-        raise ValueError(f"power must be nonnegative, got {P}")
-    return p.B * math.log2(1.0 + P * p.g01)
+    return _hop_rate(P, p.g01, p)
 
 
 def r0(P: float, p: SystemParams) -> float:
-    if P < 0.0:
-        raise ValueError(f"power must be nonnegative, got {P}")
-    return p.B * math.log2(1.0 + P * p.g0)
+    return _hop_rate(P, p.g0, p)
 
 
 def r1(P: float, p: SystemParams) -> float:
-    if P < 0.0:
-        raise ValueError(f"power must be nonnegative, got {P}")
-    return p.B * math.log2(1.0 + P * p.g1)
+    return _hop_rate(P, p.g1, p)
 
 
 def local_compute_energy(l: float, window: float, kappa: float, c: float) -> float:

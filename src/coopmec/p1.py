@@ -124,9 +124,8 @@ def _dual_scales(p: SystemParams, rest: Restriction) -> np.ndarray:
         lam1_s * r01m + mu2_s * p.f_h_max / p.c_h,
         lam2_s * max(r0m, r1m) + lam3_s * r01m,
     )
-    by_name = {"lam1": lam1_s, "lam2": lam2_s, "lam3": lam3_s,
-               "mu1": mu1_s, "mu2": mu2_s}
-    return np.array([by_name[name] for name in rest.active_duals])
+    scales = (lam1_s, lam2_s, lam3_s, mu1_s, mu2_s)  # DUAL_NAMES order
+    return np.array([scales[i] for i in rest.active_index])
 
 
 def _make_oracle(p: SystemParams, rest: Restriction):
@@ -137,14 +136,12 @@ def _make_oracle(p: SystemParams, rest: Restriction):
     evaluator only when it lies in the dual feasible set.
     """
     names = rest.active_duals
-    idx = {name: i for i, name in enumerate(names)}
-    n = len(names)
     ca_f = p.c_a / p.f_a_max
 
     def cut(entries: dict[str, float]) -> np.ndarray:
-        v = np.zeros(n)
+        v = np.zeros(len(names))
         for name, value in entries.items():
-            v[idx[name]] = value
+            v[names.index(name)] = value
         v.flags.writeable = False  # shared by every call that returns it
         return v
 
@@ -447,9 +444,9 @@ def _project_feasible(x: np.ndarray, rest: Restriction, p: SystemParams) -> np.n
         if name != "mu2":
             x[i] = max(x[i], 0.0)
     if rest.l_a_pinned is None:
-        idx = {name: i for i, name in enumerate(names)}
-        cap = x[idx["lam2"]] + x[idx["lam3"]] + x[idx["mu1"]] * p.c_a / p.f_a_max
-        x[idx["mu2"]] = min(x[idx["mu2"]], cap)
+        lam2, lam3, mu1, mu2 = map(names.index, ("lam2", "lam3", "mu1", "mu2"))
+        cap = x[lam2] + x[lam3] + x[mu1] * p.c_a / p.f_a_max
+        x[mu2] = min(x[mu2], cap)
     return x
 
 

@@ -59,6 +59,10 @@ def test_geometry_validation():
 def test_rate_zero_power(p_default):
     for link in ("user_helper", "user_ap", "helper_ap"):
         assert rate(link, 0.0, p_default) == 0.0
+    for hop in (r01, r0, r1):
+        assert hop(0.0, p_default) == 0.0
+        with pytest.raises(ValueError):
+            hop(-1e-9, p_default)
 
 
 def test_rate_unit_snr():
@@ -75,17 +79,17 @@ def test_rate_strong_helper_link():
 
 
 def test_rate_concave_and_monotone(p_default, rng):
+    hops = {"user_helper": r01, "user_ap": r0, "helper_ap": r1}
     for _ in range(50):
         pa, pb = rng.uniform(0.0, 10.0, size=2)
         th = rng.uniform()
         mix = th * pa + (1 - th) * pb
-        for f in (
-            lambda x: r01(x, p_default),
-            lambda x: r0(x, p_default),
-            lambda x: r1(x, p_default),
-        ):
-            assert f(mix) >= th * f(pa) + (1 - th) * f(pb) - 1e-6
-            assert f(max(pa, pb)) >= f(min(pa, pb))
+        for link, hop in hops.items():
+            fa, fb, fm = (hop(x, p_default) for x in (pa, pb, mix))
+            assert fm >= th * fa + (1 - th) * fb - 1e-6
+            assert hop(max(pa, pb), p_default) >= hop(min(pa, pb), p_default)
+            # each hop's rate is rate() on its link, bit for bit
+            assert fm == rate(link, mix, p_default)
 
 
 def test_perspective_concavity(p_default, rng):
@@ -216,27 +220,12 @@ def test_max_violation_is_max_of_positive_residuals(p_default):
     )
 
 
-def test_hop_rates_equal_rate_bit_for_bit(rng):
-    p = desk_params(gamma_gap=1.7)
-    powers = [0.0, 1e-12, p.P_u_max, *rng.uniform(0.0, 2.0 * p.P_u_max, 200)]
-    for P in map(float, powers):
-        assert r01(P, p) == rate("user_helper", P, p)
-        assert r0(P, p) == rate("user_ap", P, p)
-        assert r1(P, p) == rate("helper_ap", P, p)
-    for fn in (r01, r0, r1):
-        with pytest.raises(ValueError):
-            fn(-1e-9, p)
-
-
-def test_cached_slopes_match_their_formulas():
-    p = desk_params(gamma_gap=1.7)
-    for _ in range(2):  # the first read computes, the second hits the cache
-        assert p.g01 == p.h01 / (p.gamma_gap * p.sigma1_sq)
-        assert p.g0 == p.h0 / p.sigma0_sq
-        assert p.g1 == p.h1 / p.sigma0_sq
-
-
 def test_cached_slopes_never_leak_across_instances():
+    s = desk_params(gamma_gap=1.7)
+    for _ in range(2):  # the first read computes, the second hits the cache
+        assert s.g01 == s.h01 / (s.gamma_gap * s.sigma1_sq)
+        assert s.g0 == s.h0 / s.sigma0_sq
+        assert s.g1 == s.h1 / s.sigma0_sq
     p = desk_params()
     g01, g0, g1 = p.g01, p.g0, p.g1  # fill p's cache
     q = dataclasses.replace(p, h01=2.0 * p.h01, gamma_gap=1.5)
