@@ -11,6 +11,13 @@ One product g' A g per iteration serves both the gap bound and the
 normalization of the cut (negating g leaves it unchanged bit for bit).
 The update A - c (Ag)(Ag)' keeps A exactly symmetric (Ag_i Ag_j =
 Ag_j Ag_i in floating point), so no re-symmetrization is needed.
+
+An optional checkpoint lets the caller stop the run on its own
+certificate instead of on geometry: on an objective cut, each time the
+relative gap bound sqrt(g' A g) / |best value| first drops below a new
+decade (1e-3, then 1e-4, and so on), checkpoint(best_point, best_value)
+is called once, and a True return ends the run as converged. Without a
+checkpoint the run does the same float operations.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ def ellipsoid_run(
     max_iter: int = 5000,
     tol_rel: float = 0.0,
     coord_tol: np.ndarray | None = None,
+    checkpoint: Callable[[np.ndarray, float], bool] | None = None,
 ) -> EllipsoidResult:
     """Maximize a concave function over a convex set given by cut oracles.
 
@@ -69,7 +77,8 @@ def ellipsoid_run(
     (the objective can be flat along constrained directions long before
     the dual point itself is pinned down). Numerical loss of positive
     definiteness restarts the search around the best point with doubled
-    radius.
+    radius. checkpoint, if given, is called as the module docstring
+    describes; returning True stops the run with converged=True.
     """
     center = np.asarray(init_center, dtype=float).copy()
     n = center.size
@@ -84,6 +93,9 @@ def ellipsoid_run(
     converged = False
     restarts = 0
     it = 0
+    # the relative gap bound below which the checkpoint fires next; 0.0
+    # never fires (no checkpoint, or every representable decade passed)
+    decade = 1e-3 if checkpoint is not None else 0.0
 
     def coords_tight() -> bool:
         if coord_tol is None:
@@ -110,6 +122,15 @@ def ellipsoid_run(
             if gap_bound <= max(tol, tol_rel * abs(best_value)) and coords_tight():
                 converged = True
                 break
+            if (decade > 0.0 and best_point is not None
+                    and gap_bound <= decade * abs(best_value)):
+                # skip every decade this bound already passed; the factor
+                # underflows to 0.0, so a zero bound or value ends the loop
+                while decade > 0.0 and gap_bound <= decade * abs(best_value):
+                    decade *= 0.1
+                if checkpoint(best_point, best_value):
+                    converged = True
+                    break
             if not (gAg > 0.0):
                 if np.allclose(g, 0.0):
                     # zero supergradient: the center is a maximizer

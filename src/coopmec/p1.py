@@ -47,7 +47,11 @@ STATUS_NONCONVERGED = "nonconverged"
 
 GAP_TOL = 1e-5       # relative duality gap declared optimal
 FEAS_TOL = 1e-9      # normalized constraint tolerance on recovered points
+CHECKPOINT_KKT_TOL = 1e-6  # scaled KKT residual a checkpoint must reach
+# iteration caps of the wide and the zoom ellipsoid pass: a pass stops on
+# the certificate, so the caps only end instances that never certify
 MAX_ITER = 5000
+ZOOM_MAX_ITER = 2500
 
 
 class RecoveryError(RuntimeError):
@@ -334,8 +338,16 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
     """Dual ascent + recovery for the (possibly pinned) convex problem.
 
     Assumes the instance is feasible for the restriction; callers do the
-    capacity check. Escalates the initial ellipsoid radius if the first
-    bracket misses the dual optimum.
+    capacity check. Each ellipsoid pass stops on the certificate: every
+    time its gap bound drops a decade, the primal is recovered at the
+    best dual point, and the pass ends once the duality gap is within
+    GAP_TOL, the allocation is feasible and the KKT residual is within
+    CHECKPOINT_KKT_TOL. A certified wide pass hands its final box to the
+    zoom pass, whose first certified checkpoint is the answer. The caps
+    MAX_ITER and ZOOM_MAX_ITER, and the end-of-pass candidates after
+    them, are the backstop for instances that never certify. Escalates
+    the initial ellipsoid radius if the first bracket misses the dual
+    optimum.
     """
     if p.L == 0.0 and rest.l_a_pinned in (None, 0.0):
         a = Allocation.zero(p)
@@ -344,6 +356,45 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
             dual=DualPoint(0, 0, 0, 0, 0), duality_gap=0.0, iterations=0,
             mode_label=label, feasibility=check_feasible(a, p),
         )
+
+    def report_at(point: np.ndarray, dual_bound: float) -> SolveReport | None:
+        # recover the primal at a dual point; the certificate is the gap
+        # itself: energy minus the best dual value bounds the distance to
+        # the optimum (weak duality)
+        d = rest.expand(point)
+        try:
+            alloc = recover_primal(d, p, rest)
+        except (RecoveryError, DualInfeasibleError):
+            return None
+        energy = total_energy(alloc, p)
+        feas = check_feasible(alloc, p)
+        gap = _rel_gap(energy, dual_bound)
+        return SolveReport(
+            status=STATUS_OPTIMAL
+            if gap <= GAP_TOL and feas.feasible(FEAS_TOL)
+            else STATUS_NONCONVERGED,
+            energy=energy,
+            allocation=alloc,
+            dual=d,
+            duality_gap=gap,
+            iterations=iters,
+            mode_label=label,
+            feasibility=feas,
+        )
+
+    certified: list[SolveReport] = []
+
+    def checkpoint(dual_floor: float):
+        # one pass's checkpoint; its dual bound is max(dual_floor, the
+        # pass's best value), and a certified report ends the pass
+        def certify(point: np.ndarray, value: float) -> bool:
+            report = report_at(point, max(dual_floor, value))
+            if (report is None or not report.ok or max_kkt_residual(
+                    report.allocation, report.dual, p) > CHECKPOINT_KKT_TOL):
+                return False
+            certified.append(report)
+            return True
+        return certify
 
     scales = _dual_scales(p, rest)
     oracle = _make_oracle(p, rest)
@@ -357,6 +408,7 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
             oracle, center, radius,
             tol=1e-16, max_iter=MAX_ITER, tol_rel=1e-12,
             coord_tol=1e-7 * scales * mult,
+            checkpoint=checkpoint(-np.inf),
         )
         iters += res.iterations
         if res.best_point is None:
@@ -365,15 +417,20 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
         # box (which still contains the optimum). The fresh, tightly
         # bracketed start pins the dual coordinates far beyond what the
         # wide bracket can, and the primal recovery repays that accuracy.
-        # Stopping is purely geometric: at tie points the value-gap bound
-        # stays pessimistic long after the coordinates are pinned.
+        # Its geometric stop ignores the value-gap bound, which at tie
+        # points stays pessimistic long after the coordinates are pinned.
+        certified.clear()  # a wide certificate only ended the wide pass
         zres = ell.ellipsoid_run(
             oracle, res.center,
             np.maximum(2.0 * res.axis_radii, 1e-14 * scales),
-            tol=float("inf"), max_iter=2500,
+            tol=float("inf"), max_iter=ZOOM_MAX_ITER,
             coord_tol=np.maximum(1e-10 * np.abs(res.best_point), 1e-14 * scales),
+            checkpoint=checkpoint(res.best_value),
         )
         iters += zres.iterations
+        if certified:
+            certified[0].iterations = iters
+            return certified[0]
         dual_bound = max(res.best_value, zres.best_value)
         # preferred recovery point: the zoomed ellipsoid's center, which
         # is pinned geometrically once the zoom converged (best_point
@@ -388,33 +445,15 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
 
         ok_reports: list[tuple[float, SolveReport]] = []
         for point in dual_points:
-            d = rest.expand(point)
-            try:
-                alloc = recover_primal(d, p, rest)
-            except (RecoveryError, DualInfeasibleError):
+            report = report_at(point, dual_bound)
+            if report is None:
                 continue
-            energy = total_energy(alloc, p)
-            feas = check_feasible(alloc, p)
-            # the certificate is the gap itself: energy minus the best
-            # dual value bounds the distance to the optimum (weak duality)
-            gap = _rel_gap(energy, dual_bound)
-            report = SolveReport(
-                status=STATUS_OPTIMAL
-                if gap <= GAP_TOL and feas.feasible(FEAS_TOL)
-                else STATUS_NONCONVERGED,
-                energy=energy,
-                allocation=alloc,
-                dual=d,
-                duality_gap=gap,
-                iterations=iters,
-                mode_label=label,
-                feasibility=feas,
-            )
             if report.ok:
                 # certified points are interchangeable only up to energy
                 # noise; take the cheapest, break energy ties (1e-10 band)
                 # toward the cleanest KKT certificate
-                ok_reports.append((max_kkt_residual(alloc, d, p), report))
+                ok_reports.append((max_kkt_residual(report.allocation, report.dual, p),
+                                   report))
                 if ok_reports[-1][0] <= 1e-8:
                     break
             elif best is None or report.duality_gap < best.duality_gap:

@@ -209,3 +209,104 @@ def test_kernel_matches_textbook_update_bit_for_bit():
     assert np.array_equal(res.center, center)
     assert np.array_equal(res.axis_radii, axis_radii)
     assert res.shape_det == shape_det
+
+
+def bowl_oracle(x):
+    # maximize 10 - |x - (1, -2)|^2, positive on the initial ball
+    dx = x - np.array([1.0, -2.0])
+    return CutOracleResult(OBJECTIVE_CUT, -2.0 * dx, 10.0 - float(dx @ dx))
+
+
+@pytest.mark.parametrize("center,radius,first_decade", [
+    # a wide start crosses 1e-3 first; a tight one starts below 1e-8 and
+    # skips the decades it has already passed
+    (np.zeros(2), 4.0, -4),
+    (np.array([1.0001, -2.0001]), 1e-4, -9),
+])
+def test_checkpoint_fires_once_per_decade(center, radius, first_decade):
+    iters = 120
+    queried, calls = [], []
+
+    def oracle(x):
+        queried.append(x.copy())
+        return bowl_oracle(x)
+
+    def checkpoint(point, value):
+        calls.append((len(queried), point.copy(), value))
+        return False
+
+    def run(max_iter, **kwargs):
+        return ellipsoid_run(bowl_oracle, center, radius, tol=0.0,
+                             max_iter=max_iter, **kwargs)
+
+    res = ellipsoid_run(oracle, center, radius, tol=0.0, max_iter=iters,
+                        checkpoint=checkpoint)
+    plain = run(iters)
+    # a checkpoint that never stops the run leaves it unchanged
+    assert res.iterations == plain.iterations == iters and not res.converged
+    assert np.array_equal(res.center, plain.center)
+    assert res.gap_bound == plain.gap_bound
+
+    # the relative gap bound after each iteration, from runs cut there
+    rel = [None] + [r.gap_bound / abs(r.best_value)
+                    for r in map(run, range(1, iters + 1))]
+    expected, decade = [], 1e-3
+    for k in range(1, iters + 1):
+        if rel[k] <= decade:
+            expected.append(k)
+            while rel[k] <= decade:
+                decade *= 0.1
+    assert len(expected) >= 3
+    assert [k for k, _, _ in calls] == expected
+    exponents = [math.floor(math.log10(rel[k])) for k in expected]
+    assert exponents[0] <= first_decade
+    assert all(a > b for a, b in zip(exponents, exponents[1:]))
+    for k, point, value in calls:
+        r = run(k)
+        assert np.array_equal(point, r.best_point) and value == r.best_value
+
+
+def test_checkpoint_true_stops_the_run():
+    given = []
+
+    def checkpoint(point, value):
+        given.append((point.copy(), value))
+        return len(given) == 2
+
+    res = ellipsoid_run(bowl_oracle, np.zeros(2), 4.0, tol=0.0, max_iter=500,
+                        checkpoint=checkpoint)
+    assert len(given) == 2
+    assert res.converged and res.iterations < 500
+    assert np.array_equal(res.best_point, given[-1][0])
+    assert res.best_value == given[-1][1]
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0])
+def test_checkpoint_at_zero_gap_bound_terminates(value):
+    # a zero supergradient gives a zero gap bound; the coordinate test keeps
+    # the run going past the convergence test into the checkpoint
+    calls = []
+
+    def oracle(x):
+        return CutOracleResult(OBJECTIVE_CUT, np.zeros(2), value)
+
+    res = ellipsoid_run(oracle, np.zeros(2), 1.0, tol=0.0, coord_tol=1e-300,
+                        checkpoint=lambda x, v: calls.append(v) or False)
+    assert calls == [value]
+    assert res.converged and res.iterations == 1 and res.gap_bound == 0.0
+
+
+def test_checkpoint_at_zero_best_value_terminates():
+    # a zero value fires no checkpoint while the gap bound is positive; the
+    # repeated cut then flattens the ellipsoid until the bound reaches 0,
+    # which fires the checkpoint once, and the run restarts and goes on
+    calls = []
+
+    def oracle(x):
+        return CutOracleResult(OBJECTIVE_CUT, np.array([1.0, -1.0]), 0.0)
+
+    res = ellipsoid_run(oracle, np.zeros(2), 1.0, tol=0.0, max_iter=100,
+                        coord_tol=1e-300,
+                        checkpoint=lambda x, v: calls.append(v) or False)
+    assert calls == [0.0]
+    assert res.iterations == 100 and not res.converged

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import coopmec.p1
-from coopmec.dual import Restriction
+from coopmec.dual import FULL, Restriction
 from coopmec.model import check_feasible, total_energy
-from coopmec.oracle import oracle_p11
+from coopmec.oracle import max_kkt_residual, oracle_p11
 from coopmec.p1 import (
+    GAP_TOL,
+    MAX_ITER,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     lmax_partial,
@@ -132,6 +134,29 @@ def test_random_instances_gap_and_feasibility(rng):
         assert rep.ok, f"{p}"
         assert rep.duality_gap <= 1e-5
         assert rep.feasibility.feasible(1e-9)
+
+
+def test_interior_instance_certifies_seed_6_draw_12():
+    # an interior instance (L at 0.69 of capacity) that ran to both caps
+    # and ended nonconverged with gap 0.58 before the checkpoints
+    rng = np.random.default_rng(6)
+    p = [random_params(rng) for _ in range(13)][12]
+    rep = solve_p1(p)
+    assert rep.ok
+    assert rep.duality_gap <= GAP_TOL
+    assert max_kkt_residual(rep.allocation, rep.dual, p) <= 1e-6
+    assert check_feasible(rep.allocation, p).feasible(1e-9)
+
+
+@pytest.mark.parametrize("rest,label", [
+    (FULL, "joint-partial"),
+    (Restriction(helper_path=False), "comm-partial"),
+])
+def test_solve_stops_on_the_certificate_not_the_caps(rest, label):
+    # both passes used to run to their caps (7500 iterations) here
+    rep = solve_restricted(desk_params(T=0.1), rest, label)
+    assert rep.ok
+    assert rep.iterations < MAX_ITER
 
 
 def test_solve_restricted_comp_partial_structure(p_default):
