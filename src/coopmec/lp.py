@@ -5,10 +5,16 @@ primal recovery, all under ~10 variables). Bland's rule trades speed for
 guaranteed termination, and every row of the constraint system is scaled
 to unit max-norm first because the raw coefficients span ~30 orders of
 magnitude (capacitance constants vs CPU frequencies).
+
+At this size numpy's per-call overhead outweighs its arithmetic, so the
+tableau is a list of Python float rows; each entry goes through the same
+IEEE operations a numpy tableau would apply. The final refinement solve
+and the residuals stay in numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,15 +43,15 @@ class LpProblem:
     ub: np.ndarray | None = None
 
     def __post_init__(self):
-        self.c = np.atleast_1d(np.asarray(self.c, dtype=float))
+        self.c = _at_least(self.c, 1)
         n = self.c.size
         self.A_ub, self.b_ub = _as_block(self.A_ub, self.b_ub, n, "A_ub/b_ub")
         self.A_eq, self.b_eq = _as_block(self.A_eq, self.b_eq, n, "A_eq/b_eq")
-        self.lb = np.full(n, 0.0) if self.lb is None else np.asarray(self.lb, float)
+        self.lb = np.zeros(n) if self.lb is None else np.asarray(self.lb, float)
         self.ub = np.full(n, np.inf) if self.ub is None else np.asarray(self.ub, float)
         if self.lb.size != n or self.ub.size != n:
             raise ValueError("bound vectors must match the number of variables")
-        if np.any(self.lb > self.ub):
+        if (self.lb > self.ub).any():
             raise ValueError("lower bound exceeds upper bound")
 
     @property
@@ -61,11 +67,17 @@ class LpSolution:
     residuals: dict[str, float] = field(default_factory=dict)
 
 
+def _at_least(v, ndim: int) -> np.ndarray:
+    """v as a float array, like np.atleast_1d/_2d without their dispatch."""
+    a = np.asarray(v, dtype=float)
+    return a if a.ndim >= ndim else a.reshape((1,) * (ndim - a.ndim) + a.shape)
+
+
 def _as_block(A, b, n, what):
     if A is None and b is None:
         return np.zeros((0, n)), np.zeros(0)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    A = _at_least(A, 2)
+    b = _at_least(b, 1)
     if A.shape != (b.size, n):
         raise ValueError(f"inconsistent {what} shapes: {A.shape} vs b{b.shape}, n={n}")
     return A, b
@@ -74,93 +86,58 @@ def _as_block(A, b, n, what):
 def lp_solve(prob: LpProblem) -> LpSolution:
     """Solve an LpProblem; never raises on infeasible/unbounded instances."""
     n = prob.n
+    lb, ub = prob.lb.tolist(), prob.ub.tolist()
 
     # Shift to y >= 0 variables: finite lb -> y = x - lb; lb = -inf with
     # finite ub -> mirrored y = ub - x; doubly free -> split y+ - y-.
     col_map = []  # (kind, x_index) with kind in {shift, mirror, pos, neg}
     for j in range(n):
-        lo, hi = prob.lb[j], prob.ub[j]
-        if np.isfinite(lo):
+        if math.isfinite(lb[j]):
             col_map.append(("shift", j))
-        elif np.isfinite(hi):
+        elif math.isfinite(ub[j]):
             col_map.append(("mirror", j))
         else:
-            col_map.append(("pos", j))
-            col_map.append(("neg", j))
+            col_map += (("pos", j), ("neg", j))
     m_cols = len(col_map)
+    signs = [(j, kind in ("mirror", "neg")) for kind, j in col_map]
+    # a row's constant shift: its coefficient times lb (shift) or ub (mirror)
+    offsets = [(j, lb[j] if kind == "shift" else ub[j])
+               for kind, j in col_map if kind in ("shift", "mirror")]
 
-    def expand(row: np.ndarray) -> tuple[np.ndarray, float]:
-        # rewrite a row a@x in terms of y; returns (a_y, constant shift)
-        out = np.zeros(m_cols)
-        shift = 0.0
-        for k, (kind, j) in enumerate(col_map):
-            if kind == "shift":
-                out[k] = row[j]
-                shift += row[j] * prob.lb[j]
-            elif kind == "mirror":
-                out[k] = -row[j]
-                shift += row[j] * prob.ub[j]
-            elif kind == "pos":
-                out[k] = row[j]
-            else:
-                out[k] = -row[j]
-        return out, shift
-
-    rows: list[np.ndarray] = []
+    rows: list[list[float]] = []
     rhs: list[float] = []
-    is_eq: list[bool] = []
-    for A, b, eq in ((prob.A_ub, prob.b_ub, False), (prob.A_eq, prob.b_eq, True)):
-        for i in range(b.size):
-            a_y, shift = expand(A[i])
-            rows.append(a_y)
-            rhs.append(b[i] - shift)
-            is_eq.append(eq)
+    for A, b in ((prob.A_ub, prob.b_ub), (prob.A_eq, prob.b_eq)):
+        for a, b_i in zip(A.tolist(), b.tolist()):
+            shift = 0.0
+            for j, v in offsets:
+                shift += a[j] * v
+            rows.append([-a[j] if neg else a[j] for j, neg in signs])
+            rhs.append(b_i - shift)
+    is_eq = [False] * prob.b_ub.size + [True] * prob.b_eq.size
     # residual upper bounds ub - lb for shifted columns
     for k, (kind, j) in enumerate(col_map):
-        if kind == "shift" and np.isfinite(prob.ub[j]):
-            span = prob.ub[j] - prob.lb[j]
-            a_y = np.zeros(m_cols)
-            a_y[k] = 1.0
-            rows.append(a_y)
-            rhs.append(span)
-            is_eq.append(False)
-        elif kind == "mirror" and np.isfinite(prob.lb[j]):
-            span = prob.ub[j] - prob.lb[j]
-            a_y = np.zeros(m_cols)
-            a_y[k] = 1.0
-            rows.append(a_y)
-            rhs.append(span)
+        if kind == "shift" and math.isfinite(ub[j]):
+            row = [0.0] * m_cols
+            row[k] = 1.0
+            rows.append(row)
+            rhs.append(ub[j] - lb[j])
             is_eq.append(False)
 
-    c_y, obj_shift = expand(prob.c)
-
-    A = np.array(rows) if rows else np.zeros((0, m_cols))
-    b = np.array(rhs)
-    m = b.size
-
-    # unit max-norm row scaling; keeps pivot tolerances meaningful
-    scale = np.ones(m)
-    for i in range(m):
-        s = max(np.max(np.abs(A[i])), abs(b[i]))
-        if s > 0.0:
-            scale[i] = 1.0 / s
-    A = A * scale[:, None]
-    b = b * scale
-
-    y, status = _two_phase(A, b, np.array(is_eq), c_y)
+    c = prob.c.tolist()
+    y, status = _two_phase(rows, rhs, is_eq, [-c[j] if neg else c[j] for j, neg in signs])
     if status != OPTIMAL:
         return LpSolution(status=status)
 
-    x = np.empty(n)
-    for k, (kind, j) in enumerate(col_map):
+    x = [0.0] * n
+    for (kind, j), y_k in zip(col_map, y):
         if kind == "shift":
-            x[j] = prob.lb[j] + y[k]
+            x[j] = lb[j] + y_k
         elif kind == "mirror":
-            x[j] = prob.ub[j] - y[k]
+            x[j] = ub[j] - y_k
         elif kind == "pos":
-            x[j] = y[k]
+            x[j] = y_k
         else:
-            x[j] -= y[k]
+            x[j] -= y_k
     x = np.clip(x, prob.lb, prob.ub)
 
     res = _residuals(prob, x)
@@ -169,104 +146,112 @@ def lp_solve(prob: LpProblem) -> LpSolution:
 
 def _residuals(prob: LpProblem, x: np.ndarray) -> dict[str, float]:
     out = {}
+    x_max = np.abs(x).max(initial=1.0)
     if prob.b_ub.size:
         r = prob.A_ub @ x - prob.b_ub
-        s = np.maximum(np.max(np.abs(prob.A_ub), axis=1) * np.max(np.abs(x), initial=1.0), 1.0)
-        out["ub"] = float(np.max(r / s))
+        s = np.maximum(np.abs(prob.A_ub).max(axis=1) * x_max, 1.0)
+        out["ub"] = float((r / s).max())
     if prob.b_eq.size:
         r = np.abs(prob.A_eq @ x - prob.b_eq)
-        s = np.maximum(np.max(np.abs(prob.A_eq), axis=1) * np.max(np.abs(x), initial=1.0), 1.0)
-        out["eq"] = float(np.max(r / s))
+        s = np.maximum(np.abs(prob.A_eq).max(axis=1) * x_max, 1.0)
+        out["eq"] = float((r / s).max())
     return out
 
 
-def _two_phase(A: np.ndarray, b: np.ndarray, is_eq: np.ndarray, c: np.ndarray):
-    """Simplex on A y (<=,=) b, y >= 0, b sign-normalized inside."""
-    m, n = A.shape
+def _two_phase(rows: list, rhs: list, is_eq: list, c: list):
+    """Simplex on A y (<=,=) b, y >= 0; rows are scaled and sign-normalized inside.
+
+    Returns (y as a list of floats, OPTIMAL), or (None, the status).
+    """
+    m, n = len(rows), len(c)
     if m == 0:
         # unconstrained over y >= 0: bounded iff c >= 0
-        if np.any(c < -PIVOT_TOL):
+        if any(cj < -PIVOT_TOL for cj in c):
             return None, UNBOUNDED
-        return np.zeros(n), OPTIMAL
+        return [0.0] * n, OPTIMAL
 
-    A = A.copy()
-    b = b.copy()
-    sense = np.where(is_eq, 0, -1)  # -1: <=, 0: =, +1: >=
-    neg = b < 0.0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-    sense[neg] *= -1
+    # unit max-norm row scaling; keeps pivot tolerances meaningful
+    row_max = np.maximum(np.abs(np.array(rows)).max(axis=1), np.abs(np.array(rhs)))
+    scaled, b_scaled, sense = [], [], []  # sense -1: <=, 0: =, +1: >=
+    for row, b_i, eq, s in zip(rows, rhs, is_eq, row_max.tolist()):
+        f = 1.0 / s if s > 0.0 else 1.0
+        row = [v * f for v in row]
+        b_i *= f
+        if b_i < 0.0:
+            row = [-v for v in row]
+            b_i = -b_i
+            sense.append(0 if eq else 1)
+        else:
+            sense.append(0 if eq else -1)
+        scaled.append(row)
+        b_scaled.append(b_i)
 
-    n_slack = int(np.sum(sense == -1))
-    n_surp = int(np.sum(sense == 1))
-    n_art = int(np.sum(sense >= 0))
-    total = n + n_slack + n_surp + n_art
-
-    T = np.zeros((m + 1, total + 1))
-    T[:m, :n] = A
-    T[:m, -1] = b
-    b0 = b.copy()
-    basis = np.empty(m, dtype=int)
+    n_slack = sense.count(-1)
+    n_surp = sense.count(1)
+    total = n + m + n_surp  # structural, slack/artificial per row, surplus
     si = n
     pi = n + n_slack
     ai = n + n_slack + n_surp
+    T: list[list[float]] = []
+    basis: list[int] = []
     art_cols = []
     for i in range(m):
+        t = scaled[i] + [0.0] * (total - n) + [b_scaled[i]]
         if sense[i] == -1:
-            T[i, si] = 1.0
-            basis[i] = si
+            t[si] = 1.0
+            basis.append(si)
             si += 1
         else:
             if sense[i] == 1:
-                T[i, pi] = -1.0
+                t[pi] = -1.0
                 pi += 1
-            T[i, ai] = 1.0
-            basis[i] = ai
+            t[ai] = 1.0
+            basis.append(ai)
             art_cols.append(ai)
             ai += 1
-    A0 = T[:m, :total].copy()
+        T.append(t)
+    A0 = np.array([t[:total] for t in T])
+    b0 = np.array(b_scaled)
+    T.append([0.0] * (total + 1))  # the objective row
+    banned = frozenset(art_cols)
 
     # phase 1: minimize the artificial sum
     if art_cols:
-        obj = np.zeros(total + 1)
+        obj = T[-1]
         for i in range(m):
-            if basis[i] in art_cols:
-                obj -= T[i]
+            if basis[i] in banned:
+                obj = [o - t for o, t in zip(obj, T[i])]
         for j in art_cols:
             obj[j] += 1.0
         T[-1] = obj
-        status = _iterate(T, basis, frozenset(art_cols))
+        status = _iterate(T, basis, banned)
         if status != OPTIMAL:
             return None, INFEASIBLE
-        if -T[-1, -1] > FEAS_TOL:
+        if -T[-1][-1] > FEAS_TOL:
             return None, INFEASIBLE
         # drive leftover artificials out of the basis (degenerate rows)
-        art_set = set(art_cols)
         for i in range(m):
-            if basis[i] in art_set:
-                pivot_col = -1
+            if basis[i] in banned:
                 for j in range(total):
-                    if j not in art_set and abs(T[i, j]) > PIVOT_TOL:
-                        pivot_col = j
+                    if j not in banned and abs(T[i][j]) > PIVOT_TOL:
+                        _pivot(T, i, j)
+                        basis[i] = j
                         break
-                if pivot_col >= 0:
-                    _pivot(T, i, pivot_col)
-                    basis[i] = pivot_col
                 # else: redundant row; its artificial stays basic at 0
 
     # phase 2
-    T[-1, :] = 0.0
-    T[-1, :n] = c
+    obj = c + [0.0] * (total + 1 - n)
     for i in range(m):
-        cj = T[-1, basis[i]]
+        cj = obj[basis[i]]
         if cj != 0.0:
-            T[-1] -= cj * T[i]
-    status = _iterate(T, basis, frozenset(art_cols))
+            obj = [o - cj * t for o, t in zip(obj, T[i])]
+    T[-1] = obj
+    status = _iterate(T, basis, banned)
     if status != OPTIMAL:
         return None, status
 
     y = np.zeros(total)
-    y[basis] = T[:m, -1]
+    y[basis] = [T[i][-1] for i in range(m)]
     # refine the basic solution against the original system; pivoting
     # arithmetic leaves ~tolerance-sized residuals that matter downstream
 
@@ -287,45 +272,53 @@ def _two_phase(A: np.ndarray, b: np.ndarray, is_eq: np.ndarray, c: np.ndarray):
     except np.linalg.LinAlgError:
         pass
     y = np.maximum(y, 0.0)
-    return y[:n], OPTIMAL
+    return y[:n].tolist(), OPTIMAL
 
 
-def _iterate(T: np.ndarray, basis: np.ndarray, banned: frozenset[int]) -> str:
+def _iterate(T: list, basis: list, banned: frozenset[int]) -> str:
     """Run simplex pivots to optimality with Bland's anti-cycling rule.
 
     Columns in `banned` (the artificials once they are nonbasic) never
     re-enter; that is the standard drop-artificials variant and keeps the
     phase-1 infeasibility certificate intact.
     """
-    m = T.shape[0] - 1
-    ncols = T.shape[1] - 1
+    m = len(T) - 1
+    ncols = len(T[0]) - 1
     for _ in range(100_000):
+        obj = T[-1]
         enter = -1
         for j in range(ncols):
-            if j in banned:
-                continue
-            if T[-1, j] < -PIVOT_TOL:
+            if obj[j] < -PIVOT_TOL and j not in banned:
                 enter = j
                 break
         if enter < 0:
             return OPTIMAL
-        ratios = np.full(m, np.inf)
-        col = T[:m, enter]
-        ok = col > PIVOT_TOL
-        ratios[ok] = T[:m, -1][ok] / col[ok]
-        rmin = ratios.min()
-        if not np.isfinite(rmin):
+        # ratio test over the rows with a positive entering coefficient
+        ratios = []
+        for i in range(m):
+            a = T[i][enter]
+            if a > PIVOT_TOL:
+                r = T[i][-1] / a
+                if r != r:
+                    return UNBOUNDED  # a NaN ratio, as numpy's min would give
+                ratios.append((r, i))
+        if not ratios:
+            return UNBOUNDED
+        rmin = min(r for r, _ in ratios)
+        if not math.isfinite(rmin):
             return UNBOUNDED
         # Bland tie-break: smallest basic-variable index among min ratios
-        ties = np.flatnonzero(ratios <= rmin + 1e-12 * max(1.0, abs(rmin)))
-        leave = int(ties[np.argmin(basis[ties])])
+        band = rmin + 1e-12 * max(1.0, abs(rmin))
+        leave = min((i for r, i in ratios if r <= band), key=basis.__getitem__)
         _pivot(T, leave, enter)
         basis[leave] = enter
     return "stalled"  # unreachable with Bland's rule; defensive
 
 
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * T[row]
+def _pivot(T: list, row: int, col: int) -> None:
+    piv = T[row][col]
+    p = T[row] = [v / piv for v in T[row]]
+    for r, t in enumerate(T):
+        f = t[col]
+        if r != row and f != 0.0:
+            T[r] = [a - f * b for a, b in zip(t, p)]

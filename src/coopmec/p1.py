@@ -18,9 +18,6 @@ from .dual import (
     DualPoint,
     Restriction,
     eval_dual_restricted,
-    solve_sub1,
-    solve_sub2,
-    solve_sub3,
 )
 from .lp import OPTIMAL, LpProblem, lp_solve
 from .oracle import max_kkt_residual
@@ -387,7 +384,14 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
     def checkpoint(dual_floor: float):
         # one pass's checkpoint; its dual bound is max(dual_floor, the
         # pass's best value), and a certified report ends the pass
+        last = [None, None]  # (value, point) of the previous, rejected call
+
         def certify(point: np.ndarray, value: float) -> bool:
+            # the ascent hands over the same best point until it finds a
+            # better value, and that point's recovery was already rejected
+            if value == last[0] and np.array_equal(point, last[1]):
+                return False
+            last[:] = value, point
             report = report_at(point, max(dual_floor, value))
             if (report is None or not report.ok or max_kkt_residual(
                     report.allocation, report.dual, p) > CHECKPOINT_KKT_TOL):
@@ -489,143 +493,6 @@ def _project_feasible(x: np.ndarray, rest: Restriction, p: SystemParams) -> np.n
     return x
 
 
-def _root_decreasing(f, lo: float, hi: float, iters: int = 90) -> float | None:
-    """Root of a nonincreasing scalar function; None if not bracketed."""
-    flo, fhi = f(lo), f(hi)
-    if flo < 0.0 or fhi > 0.0:
-        return None
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _face_dual(mu1: float, d0: DualPoint, p: SystemParams) -> DualPoint | None:
-    """Exact dual point on the fully-active stationarity structure.
-
-    When every slot is open at its tie (rho_i = 0) and every route carries
-    bits, the prices satisfy a chain of monotone one-dimensional
-    equations: rho3 pins lam2 given mu1, rho2 then pins lam3, the l_a
-    stationarity pins mu2, and rho1 pins lam1. Returns None whenever the
-    structure does not hold (some equation has no root in the bracket).
-    """
-    hi2 = 50.0 * max(d0.lam2, 1e-30)
-    lam2 = _root_decreasing(
-        lambda x: solve_sub3(DualPoint(0.0, x, 0.0, mu1, 0.0), p)["rho3"],
-        0.0, hi2,
-    )
-    if lam2 is None:
-        return None
-    hi3 = 50.0 * max(d0.lam3, 1e-30)
-    lam3 = _root_decreasing(
-        lambda x: solve_sub2(DualPoint(0.0, lam2, x, mu1, 0.0), p)["rho2"],
-        0.0, hi3,
-    )
-    if lam3 is None:
-        return None
-    mu2 = lam2 + lam3 + mu1 * p.c_a / p.f_a_max
-    hi1 = 50.0 * max(d0.lam1, 1e-30)
-    lam1 = _root_decreasing(
-        lambda x: solve_sub1(DualPoint(x, 0.0, 0.0, mu1, mu2), p)["rho1"],
-        0.0, hi1,
-    )
-    if lam1 is None:
-        return None
-    return DualPoint(lam1, lam2, lam3, mu1, mu2)
-
-
-def _face_min_time(d: DualPoint, p: SystemParams) -> float:
-    """Least block time that carries L bits at the frozen closed-form values."""
-    _, sol, _ = eval_dual_restricted(d, p, FULL)
-    l_u = min(sol.l_u, p.L)
-    ca_f = p.c_a / p.f_a_max
-    # vars: tau1, tau2, tau3, l_a; minimize tau1+tau2+tau3 + ca_f*l_a
-    A_ub = [
-        [-(sol.M1 + r01(sol.P1, p)), 0.0, 0.0, 0.0],
-        [0.0, -r0(sol.P2, p), -r1(sol.P3, p), 1.0],
-        [0.0, -r01(sol.P2, p), 0.0, 1.0],
-    ]
-    b_ub = [-sol.M1 * p.T, 0.0, 0.0]
-    part = [-sol.M1, 0.0, 0.0, 1.0]
-    rhs = p.L - l_u - sol.M1 * p.T
-    lp = lp_solve(LpProblem(
-        c=np.array([1.0, 1.0, 1.0, ca_f]),
-        A_ub=np.array(A_ub), b_ub=np.array(b_ub),
-        A_eq=np.array([part]), b_eq=np.array([rhs]),
-        lb=np.zeros(4),
-        ub=np.array([p.T, np.inf, np.inf, p.L]),
-    ))
-    if lp.status != OPTIMAL:
-        return np.inf
-    return float(lp.objective)
-
-
-def _face_polish(report: SolveReport, p: SystemParams) -> SolveReport:
-    """Repair a face-degenerate certificate: all slots at their ties.
-
-    The wide dual search can stop anywhere on a (near-)optimal face whose
-    points share the dual value but differ in the frozen closed-form
-    quantities, leaving the recovered pair a few 1e-6 off stationarity.
-    Re-deriving the prices from the fully-active structure and matching
-    the block deadline with a 1-D search over mu1 lands back on the face
-    point the primal actually certifies. Gated: adopted only when it
-    keeps the certificate and strictly cleans the residuals.
-    """
-    d0 = report.dual
-    if d0 is None or d0.mu1 <= 0.0:
-        return report
-
-    def theta(mu1: float) -> float:
-        d = _face_dual(mu1, d0, p)
-        if d is None:
-            return np.nan
-        return _face_min_time(d, p) - p.T
-
-    lo, hi = 0.2 * d0.mu1, 5.0 * d0.mu1
-    t_lo, t_hi = theta(lo), theta(hi)
-    if not (np.isfinite(t_lo) and np.isfinite(t_hi) and t_lo >= 0.0 >= t_hi):
-        return report
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        t = theta(mid)
-        if not np.isfinite(t):
-            return report
-        if t >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    d_star = _face_dual(0.5 * (lo + hi), d0, p)
-    if d_star is None or not d_star.feasible(p, tol=1e-18):
-        return report
-    try:
-        alloc = recover_primal(d_star, p, FULL)
-    except (RecoveryError, DualInfeasibleError):
-        return report
-    energy = total_energy(alloc, p)
-    feas = check_feasible(alloc, p)
-    dual_bound = report.energy * (1.0 - report.duality_gap)
-    gap = _rel_gap(energy, dual_bound)
-    if gap > GAP_TOL or not feas.feasible(FEAS_TOL):
-        return report
-    old_kkt = max_kkt_residual(report.allocation, report.dual, p)
-    new_kkt = max_kkt_residual(alloc, d_star, p)
-    if new_kkt >= old_kkt or energy > report.energy * (1.0 + GAP_TOL):
-        return report
-    return SolveReport(
-        status=STATUS_OPTIMAL,
-        energy=energy,
-        allocation=alloc,
-        dual=d_star,
-        duality_gap=gap,
-        iterations=report.iterations,
-        mode_label=report.mode_label,
-        feasibility=feas,
-    )
-
-
 def _lift_full_dual(d: DualPoint, p: SystemParams) -> DualPoint:
     """Make a restricted-problem dual certificate feasible for the full
     dual: the l_a price floor must cover mu2 even when the relay route is
@@ -687,6 +554,9 @@ def _polish_inactive_routes(report: SolveReport, p: SystemParams) -> SolveReport
 def solve_p1(p: SystemParams) -> SolveReport:
     """Optimal joint cooperation with partial offloading.
 
+    The ascent's certified report is returned as recovered, unless
+    exactly one route is idle: _polish_inactive_routes then re-solves
+    with that route pinned off and keeps a cheaper certified answer.
     Returns an infeasible report (with the capacity attached) when the
     task exceeds what the block can carry.
     """
@@ -697,7 +567,5 @@ def solve_p1(p: SystemParams) -> SolveReport:
     report = solve_restricted(p, FULL, "joint-partial")
     if report.ok:
         report = _polish_inactive_routes(report, p)
-        if max_kkt_residual(report.allocation, report.dual, p) > 5e-7:
-            report = _face_polish(report, p)
     report.l_max = l_max
     return report

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,36 @@ def test_interior_instance_certifies_seed_6_draw_12():
     # and ended nonconverged with gap 0.58 before the checkpoints
     rng = np.random.default_rng(6)
     p = [random_params(rng) for _ in range(13)][12]
+    rep = solve_p1(p)
+    assert rep.ok
+    assert rep.duality_gap <= GAP_TOL
+    assert max_kkt_residual(rep.allocation, rep.dual, p) <= 1e-6
+    assert check_feasible(rep.allocation, p).feasible(1e-9)
+
+
+def _acceptance_instance(i: int):
+    """Draw i of acceptance criterion 1's batch (random_params, seed 20250808)."""
+    rng = np.random.default_rng(20250808)
+    return [random_params(rng) for _ in range(i + 1)][i]
+
+
+@pytest.mark.parametrize("i", [8, 24, 26, 30, 31, 45])
+def test_certifies_without_a_face_polish(i):
+    # the ascent's own answer certifies on the acceptance instances whose
+    # answer a face-polish pass after the ascent used to replace
+    p = _acceptance_instance(i)
+    rep = solve_p1(p)
+    assert rep.ok
+    assert rep.duality_gap <= GAP_TOL
+    assert max_kkt_residual(rep.allocation, rep.dual, p) <= 1e-6
+    assert check_feasible(rep.allocation, p).feasible(1e-9)
+
+
+def test_certifies_near_capacity_with_helper_near_ap():
+    # helper 10 m from the AP, L at 0.999 of capacity: without a face
+    # polish this once reported optimal with a KKT residual of 4.4e-5
+    p = desk_params(T=0.05, D=240.0)
+    p = replace(p, L=0.999 * lmax_partial(p))
     rep = solve_p1(p)
     assert rep.ok
     assert rep.duality_gap <= GAP_TOL
