@@ -16,6 +16,12 @@ partition. The dual function stays bounded below iff the l_a coefficient
 lam2 + lam3 + mu1*c_a/f_a_max - mu2 is nonnegative; that inequality is the
 one boundary of the dual feasible set beyond the sign constraints.
 
+The linear blocks are bang-bang on the strict sign of their price: a slot
+opens iff its marginal price rho_i < 0, and l_a = L iff its coefficient
+is < 0. At a zero price both choices give the same value, so the reported
+value is the dual function itself, with no tie band; the ellipsoid's deep
+cuts rely on that. Which side a tie takes is left to primal recovery.
+
 The subgradient is assembled from the rates the subproblems already
 computed at their optimal powers (r01(P1), r0(P2), r01(P2), r1(P3)), so
 one evaluation makes four rate calls.
@@ -33,11 +39,6 @@ from functools import cached_property
 import numpy as np
 
 from .model import LN2, SystemParams, r0, r01, r1
-
-#: tau* tie rule: a slot whose marginal price is zero is closed (tau = 0);
-#: the primal-recovery step reopens it if the optimum needs an interior tau.
-TIE_TOL = 1e-12
-
 
 class DualInfeasibleError(ValueError):
     """Dual point outside the feasible set of the dual problem."""
@@ -107,10 +108,6 @@ def _clip(x: float, lo: float, hi: float) -> float:
     return min(hi, max(lo, x))
 
 
-def _tie(mu1: float) -> float:
-    return TIE_TOL * max(1.0, mu1)
-
-
 # -- subproblem 1: user->helper offload energy + helper computing ----------
 
 
@@ -143,7 +140,7 @@ def solve_sub1(d: DualPoint, p: SystemParams) -> dict:
     if M1 >= m_cap:
         beta1 = gain - 3.0 * p.kappa_h * p.c_h**3 * M1**2
 
-    tau1 = p.T if rho1 < -_tie(d.mu1) else 0.0
+    tau1 = p.T if rho1 < 0.0 else 0.0
     return {
         "P1": P1,
         "M1": M1,
@@ -199,7 +196,7 @@ def solve_sub2(d: DualPoint, p: SystemParams) -> dict:
             + d.lam2 * p.B * g0 / ((1.0 + P2 * g0) * LN2)
             - 1.0
         )
-    tau2 = p.T if rho2 < -_tie(d.mu1) else 0.0
+    tau2 = p.T if rho2 < 0.0 else 0.0
     return {"P2": P2, "tau2": tau2, "E2": P2 * tau2, "rho2": rho2,
             "alpha2": alpha2, "value": tau2 * rho2, "r0": rate_ap, "r01": rate_h}
 
@@ -219,7 +216,7 @@ def solve_sub3(d: DualPoint, p: SystemParams) -> dict:
     alpha3 = 0.0
     if P3 >= p.P_h_max:
         alpha3 = d.lam2 * p.B * g1 / ((1.0 + P3 * g1) * LN2) - 1.0
-    tau3 = p.T if rho3 < -_tie(d.mu1) else 0.0
+    tau3 = p.T if rho3 < 0.0 else 0.0
     return {"P3": P3, "tau3": tau3, "E3": P3 * tau3, "rho3": rho3,
             "alpha3": alpha3, "value": tau3 * rho3, "r1": rate3}
 
@@ -244,15 +241,12 @@ def solve_sub4(d: DualPoint, p: SystemParams) -> float:
 def solve_sub5(d: DualPoint, p: SystemParams, L: float | None = None) -> float:
     """Minimize (lam2+lam3+mu1 c_a/f_a_max - mu2) l_a over 0 <= l_a <= L.
 
-    Bang-bang on the coefficient sign; exact ties take l_a = 0 and leave
-    the true value to the primal-recovery step.
+    Bang-bang on the strict sign of the coefficient: l_a = L iff it is
+    negative. A zero coefficient takes l_a = 0 at the same value and
+    leaves the split to the primal-recovery step.
     """
-    return _bang_bang(d.bounded_below_slack(p), d.mu1, p.L if L is None else L)
-
-
-def _bang_bang(coef: float, mu1: float, L: float) -> float:
-    # sub5's minimizer given its coefficient; the evaluator has it already
-    return L if coef < -_tie(mu1) else 0.0
+    coef = d.bounded_below_slack(p)
+    return (p.L if L is None else L) if coef < 0.0 else 0.0
 
 
 def _require_signs(d: DualPoint) -> None:
@@ -357,8 +351,8 @@ def eval_dual_restricted(
         s2, s3 = _SUB2_OFF, _SUB3_OFF
     l_u = solve_sub4(d, p) if rest.local_bits else 0.0
     if la_free:
-        l_a = _bang_bang(slack, d.mu1, p.L)  # solve_sub5
-        v5 = slack * l_a
+        # the coefficient (slack) is >= 0 here: solve_sub5 gives l_a = 0
+        l_a = v5 = 0.0
     else:
         l_a = rest.l_a_pinned
         coef = d.lam2 + d.lam3 + d.mu1 * p.c_a / p.f_a_max

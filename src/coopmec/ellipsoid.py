@@ -2,10 +2,23 @@
 
 The caller supplies a cut oracle: at a query point it either returns a
 supergradient of the objective (objective cut, with the value) or the
-gradient of a violated constraint (feasibility cut). Each iteration
-applies the standard central-cut update (Boyd, EE364b ellipsoid method
-notes); convergence is declared when the ellipsoid bound on the
-remaining objective gap, sqrt(g' A g), drops below tolerance.
+gradient of a violated linear constraint and how far it is violated
+(feasibility cut). Convergence is declared when the ellipsoid bound on
+the remaining objective gap, sqrt(g' A g), drops below tolerance.
+
+Every cut is a deep cut (Boyd, EE364b ellipsoid method notes). At an
+objective cut at x, any maximizer z satisfies g'(z - x) >= best - f(x),
+so the cut sits at depth alpha = (best - f(x)) / sqrt(g' A g); at a
+feasibility cut, alpha = violation / sqrt(g' A g). With the normalized
+cut gt = cut / sqrt(g' A g), the update is
+
+    c <- c - (1 + n alpha)/(n + 1) A gt
+    A <- n^2/(n^2 - 1) (1 - alpha^2) (A - 2(1 + n alpha)/((n + 1)(1 + alpha)) A gt gt' A)
+
+The depth is capped at DEEP_CUT_MAX < 1, so the new ellipsoid never
+degenerates. The cuts are valid only if the oracle's values are exact:
+a value reported above f(x) makes later cuts too deep. At alpha = 0 the
+update is the central cut, float for float.
 
 One product g' A g per iteration serves both the gap bound and the
 normalization of the cut (negating g leaves it unchanged bit for bit).
@@ -30,6 +43,8 @@ import numpy as np
 
 OBJECTIVE_CUT = "objective"
 FEASIBILITY_CUT = "feasibility"
+#: cap on the depth alpha of a cut, in units of sqrt(g' A g)
+DEEP_CUT_MAX = 0.5
 
 
 class OracleError(ValueError):
@@ -41,6 +56,7 @@ class CutOracleResult:
     kind: str                      # OBJECTIVE_CUT or FEASIBILITY_CUT
     vector: np.ndarray             # supergradient / violated-constraint gradient
     value: float = float("nan")    # objective value for objective cuts
+    violation: float = 0.0         # how far the point violates it, feasibility cuts
 
 
 @dataclass
@@ -102,7 +118,8 @@ def ellipsoid_run(
             return True
         return bool((np.sqrt(np.maximum(A.diagonal(), 0.0)) <= coord_tol).all())
 
-    # central-cut update A <- shrink * (A - step * (Ag)(Ag)') for n > 1
+    # deep-cut update A <- shrink (1 - alpha^2) (A - step (1 + n alpha)/(1 + alpha)
+    # (Ag)(Ag)') for n > 1; every factor is exactly 1.0 at alpha = 0
     shrink = n**2 / (n**2 - 1.0) if n > 1 else 1.0
     step = 2.0 / (n + 1.0)
     while it < max_iter:
@@ -139,24 +156,28 @@ def ellipsoid_run(
                     break
                 center, A, restarts = _restart(best_point, center, radius, restarts)
                 continue
-            cut = -g  # keep the halfspace {z : g'(z - center) >= 0}
+            # keep the halfspace {z : g'(z - center) >= best - value}
+            cut, depth = -g, best_value - res.value
         elif res.kind == FEASIBILITY_CUT:
             if not g.any():
                 raise OracleError("zero feasibility-cut vector")
-            cut = g
+            cut, depth = g, res.violation
         else:
             raise OracleError(f"unknown cut kind {res.kind!r}")
 
         if not (gAg > 0.0 and math.isfinite(gAg)):
             center, A, restarts = _restart(best_point, center, radius, restarts)
             continue
-        Ag = A @ (cut / math.sqrt(gAg))
+        root = math.sqrt(gAg)
+        alpha = min(depth / root, DEEP_CUT_MAX) if depth > 0.0 else 0.0
+        Ag = A @ (cut / root)
         if n == 1:
-            center = center - Ag / 2.0
-            A = A / 4.0
+            center = center - (1.0 + alpha) * Ag / 2.0
+            A = A * (0.5 * (1.0 - alpha)) ** 2
         else:
-            center = center - Ag / (n + 1.0)
-            A = shrink * (A - step * (Ag[:, None] * Ag))  # the outer product
+            center = center - (1.0 + n * alpha) * Ag / (n + 1.0)
+            A = (shrink * (1.0 - alpha * alpha)) * (
+                A - (step * (1.0 + n * alpha) / (1.0 + alpha)) * (Ag[:, None] * Ag))
 
     return EllipsoidResult(
         best_point=best_point,

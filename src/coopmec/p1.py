@@ -44,7 +44,7 @@ STATUS_NONCONVERGED = "nonconverged"
 
 GAP_TOL = 1e-5       # relative duality gap declared optimal
 FEAS_TOL = 1e-9      # normalized constraint tolerance on recovered points
-CHECKPOINT_KKT_TOL = 1e-6  # scaled KKT residual a checkpoint must reach
+CHECKPOINT_KKT_TOL = 1e-6  # scaled KKT residual an optimal report must reach
 # iteration caps of the wide and the zoom ellipsoid pass: a pass stops on
 # the certificate, so the caps only end instances that never certify
 MAX_ITER = 5000
@@ -134,7 +134,9 @@ def _make_oracle(p: SystemParams, rest: Restriction):
 
     Index lists and the constant cut vectors are built once here; a call
     reads the point as Python floats, and the point goes to the dual
-    evaluator only when it lies in the dual feasible set.
+    evaluator only when it lies in the dual feasible set. A feasibility
+    cut carries its violation (-x_i for a sign cut, -slack for the l_a
+    boundedness cut), so the ellipsoid can cut deep.
     """
     names = rest.active_duals
     ca_f = p.c_a / p.f_a_max
@@ -157,11 +159,14 @@ def _make_oracle(p: SystemParams, rest: Restriction):
         xs = x.tolist()
         for i, e in sign_cuts:
             if xs[i] < 0.0:
-                return ell.CutOracleResult(ell.FEASIBILITY_CUT, e)
+                return ell.CutOracleResult(ell.FEASIBILITY_CUT, e, violation=-xs[i])
         d = rest.expand(xs)
-        # same slack evaluation as the dual module, bit for bit
-        if slack_cut is not None and d.bounded_below_slack(p) < 0.0:
-            return ell.CutOracleResult(ell.FEASIBILITY_CUT, slack_cut)
+        if slack_cut is not None:
+            # same slack evaluation as the dual module, bit for bit
+            slack = d.bounded_below_slack(p)
+            if slack < 0.0:
+                return ell.CutOracleResult(ell.FEASIBILITY_CUT, slack_cut,
+                                           violation=-slack)
         g, _, sub = eval_dual_restricted(d, p, rest)
         return ell.CutOracleResult(ell.OBJECTIVE_CUT, sub, g)
 
@@ -342,7 +347,9 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
     CHECKPOINT_KKT_TOL. A certified wide pass hands its final box to the
     zoom pass, whose first certified checkpoint is the answer. The caps
     MAX_ITER and ZOOM_MAX_ITER, and the end-of-pass candidates after
-    them, are the backstop for instances that never certify. Escalates
+    them, are the backstop for instances that never certify; a report
+    is `optimal` on either path only under that same certificate, gap,
+    feasibility and KKT residual, and `nonconverged` otherwise. Escalates
     the initial ellipsoid radius if the first bracket misses the dual
     optimum.
     """
@@ -354,10 +361,12 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
             mode_label=label, feasibility=check_feasible(a, p),
         )
 
-    def report_at(point: np.ndarray, dual_bound: float) -> SolveReport | None:
-        # recover the primal at a dual point; the certificate is the gap
-        # itself: energy minus the best dual value bounds the distance to
-        # the optimum (weak duality)
+    def report_at(point: np.ndarray, dual_bound: float):
+        # recover the primal at a dual point: (report, KKT residual), or
+        # None. The certificate is the gap itself (energy minus the best
+        # dual value bounds the distance to the optimum by weak duality),
+        # the feasibility of the allocation and its KKT residual at the
+        # dual point; `optimal` means all three hold
         d = rest.expand(point)
         try:
             alloc = recover_primal(d, p, rest)
@@ -366,9 +375,11 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
         energy = total_energy(alloc, p)
         feas = check_feasible(alloc, p)
         gap = _rel_gap(energy, dual_bound)
+        kkt = float("inf")
+        if gap <= GAP_TOL and feas.feasible(FEAS_TOL):
+            kkt = max_kkt_residual(alloc, d, p)
         return SolveReport(
-            status=STATUS_OPTIMAL
-            if gap <= GAP_TOL and feas.feasible(FEAS_TOL)
+            status=STATUS_OPTIMAL if kkt <= CHECKPOINT_KKT_TOL
             else STATUS_NONCONVERGED,
             energy=energy,
             allocation=alloc,
@@ -377,7 +388,7 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
             iterations=iters,
             mode_label=label,
             feasibility=feas,
-        )
+        ), kkt
 
     certified: list[SolveReport] = []
 
@@ -392,11 +403,10 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
             if value == last[0] and np.array_equal(point, last[1]):
                 return False
             last[:] = value, point
-            report = report_at(point, max(dual_floor, value))
-            if (report is None or not report.ok or max_kkt_residual(
-                    report.allocation, report.dual, p) > CHECKPOINT_KKT_TOL):
+            at = report_at(point, max(dual_floor, value))
+            if at is None or not at[0].ok:
                 return False
-            certified.append(report)
+            certified.append(at[0])
             return True
         return certify
 
@@ -449,16 +459,16 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
 
         ok_reports: list[tuple[float, SolveReport]] = []
         for point in dual_points:
-            report = report_at(point, dual_bound)
-            if report is None:
+            at = report_at(point, dual_bound)
+            if at is None:
                 continue
+            report, kkt = at
             if report.ok:
                 # certified points are interchangeable only up to energy
                 # noise; take the cheapest, break energy ties (1e-10 band)
                 # toward the cleanest KKT certificate
-                ok_reports.append((max_kkt_residual(report.allocation, report.dual, p),
-                                   report))
-                if ok_reports[-1][0] <= 1e-8:
+                ok_reports.append((kkt, report))
+                if kkt <= 1e-8:
                     break
             elif best is None or report.duality_gap < best.duality_gap:
                 best = report

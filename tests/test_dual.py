@@ -141,6 +141,25 @@ def test_sub5_cases(p_default):
 # -- closed-form spot checks ---------------------------------------------------
 
 
+@pytest.mark.parametrize("solve,slot", [
+    (solve_sub1, "1"), (solve_sub2, "2"), (solve_sub3, "3"),
+])
+def test_slot_opens_on_any_negative_price(p_default, solve, slot):
+    # rho_i is mu1 plus a term free of mu1; pick mu1 so rho_i is a hair
+    # below zero (far inside a 1e-12 * mu1 band): the slot opens, and the
+    # value is the exact minimum tau_i * rho_i < 0
+    p = p_default
+    base = dict(lam1=1e-5, lam2=1e-5, lam3=1e-5, mu2=0.0)
+    rho0 = solve(DualPoint(mu1=0.0, **base), p)["rho" + slot]
+    assert rho0 < 0.0
+    mu1 = -rho0 * (1.0 - 1e-14)
+    s = solve(DualPoint(mu1=mu1, **base), p)
+    rho = s["rho" + slot]
+    assert -1e-12 * mu1 < rho < 0.0
+    assert s["tau" + slot] == p.T
+    assert s["value"] == p.T * rho
+
+
 def test_sub1_power_clips(p_default):
     # no reward for the offload rate: a zero price pins the power at zero
     d = DualPoint(0.0, 0.0, 0.0, 0.0, 0.0)

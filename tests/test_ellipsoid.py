@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from coopmec.ellipsoid import (
+    DEEP_CUT_MAX,
     FEASIBILITY_CUT,
     OBJECTIVE_CUT,
     CutOracleResult,
@@ -140,75 +142,134 @@ def test_bad_radius_rejected():
         ellipsoid_run(quadratic_oracle, np.zeros(1), 0.0)
 
 
-def textbook_run(oracle, center, radius, max_iter):
-    """The central-cut update as first written, with no convergence test:
+def textbook_run(oracle, center, radius, max_iter, ellipsoids=None):
+    """The deep-cut update as first written, with no convergence test:
     both quadratic forms g'Ag and cut'A cut, A @ gt, np.outer, and a
-    re-symmetrization of A on every step."""
+    re-symmetrization of A on every step. The depth is (best - f(x)) /
+    sqrt(g'Ag) at an objective cut and violation / sqrt(g'Ag) at a
+    feasibility cut, capped at DEEP_CUT_MAX; at depth 0 the step is the
+    central-cut update as first written. Appends every ellipsoid
+    (center, A) to `ellipsoids`, if given."""
     n = center.size
     A = np.diag(radius**2)
-    best_point, best_value, gap_bound = None, -np.inf, np.inf
+    best_point, best_value, gap_bound, alphas = None, -np.inf, np.inf, []
     for _ in range(max_iter):
+        if ellipsoids is not None:
+            ellipsoids.append((center, A))
         res = oracle(center)
         g = res.vector
         if res.kind == OBJECTIVE_CUT:
             if res.value > best_value:
                 best_point, best_value = center.copy(), res.value
             gap_bound = np.sqrt(max(float(g @ A @ g), 0.0))
-            cut = -g
+            cut, depth = -g, best_value - res.value
         else:
-            cut = g
-        gt = cut / np.sqrt(float(cut @ A @ cut))
-        Ag = A @ gt
-        center = center - Ag / (n + 1.0)
-        A = (n**2 / (n**2 - 1.0)) * (A - (2.0 / (n + 1.0)) * np.outer(Ag, Ag))
+            cut, depth = g, res.violation
+        root = np.sqrt(float(cut @ A @ cut))
+        alpha = min(depth / root, DEEP_CUT_MAX) if depth > 0.0 else 0.0
+        alphas.append(alpha)
+        Ag = A @ (cut / root)
+        if alpha == 0.0:
+            center = center - Ag / (n + 1.0)
+            A = (n**2 / (n**2 - 1.0)) * (A - (2.0 / (n + 1.0)) * np.outer(Ag, Ag))
+        else:
+            # c - (1 + n alpha)/(n + 1) A gt and
+            # n^2/(n^2 - 1) (1 - alpha^2) (A - 2(1 + n alpha)/((n + 1)(1 + alpha)) A gt gt' A)
+            center = center - (1.0 + n * alpha) * Ag / (n + 1.0)
+            A = (n**2 / (n**2 - 1.0)) * (1.0 - alpha * alpha) * (
+                A - (2.0 / (n + 1.0)) * (1.0 + n * alpha) / (1.0 + alpha)
+                * np.outer(Ag, Ag))
         A = 0.5 * (A + A.T)
-    return (best_point, best_value, gap_bound, center,
-            np.sqrt(np.maximum(np.diag(A), 0.0)), float(np.linalg.det(A)))
+    if ellipsoids is not None:
+        ellipsoids.append((center, A))
+    return SimpleNamespace(
+        best_point=best_point, best_value=best_value, gap_bound=gap_bound,
+        center=center, axis_radii=np.sqrt(np.maximum(np.diag(A), 0.0)),
+        shape_det=float(np.linalg.det(A)), alphas=alphas)
 
 
-def test_kernel_matches_textbook_update_bit_for_bit():
-    # maximize a nonsmooth concave function over {x >= 0, sum(x) <= 3},
-    # whose optimum sits on that boundary, so both cut kinds keep firing
-    target = np.array([1.0, -0.5, 2.0, 0.3, -1.0])
-    w = np.array([1.0, 2.0, 0.5, 3.0, 1.5])
+#: maximize a nonsmooth concave function over {x >= 0, sum(x) <= 3}, whose
+#: optimum sits on that boundary, so both cut kinds keep firing
+BOUNDARY_TARGET = np.array([1.0, -0.5, 2.0, 0.3, -1.0])
+BOUNDARY_WEIGHTS = np.array([1.0, 2.0, 0.5, 3.0, 1.5])
 
-    def make_oracle(queried, kinds):
-        def oracle(x):
-            queried.append(x.copy())
-            neg = np.flatnonzero(x < 0.0)
-            if neg.size:
-                e = np.zeros(5)
-                e[neg[0]] = -1.0
-                res = CutOracleResult(FEASIBILITY_CUT, e)
-            elif x.sum() > 3.0:
-                res = CutOracleResult(FEASIBILITY_CUT, np.ones(5))
-            else:
-                dx = x - target
-                res = CutOracleResult(OBJECTIVE_CUT, -w * np.sign(dx) - 2.0 * dx,
-                                      float(-w @ np.abs(dx) - dx @ dx))
-            kinds.append(res.kind)
-            return res
-        return oracle
 
+def boundary_oracle(queried, kinds, deep=True):
+    """The cut oracle of that problem. With deep=False it reports a
+    constant value and no violations, so every cut is central."""
+    def oracle(x):
+        queried.append(x.copy())
+        neg = np.flatnonzero(x < 0.0)
+        if neg.size:
+            e = np.zeros(5)
+            e[neg[0]] = -1.0
+            res = CutOracleResult(FEASIBILITY_CUT, e,
+                                  violation=-x[neg[0]] if deep else 0.0)
+        elif x.sum() > 3.0:
+            res = CutOracleResult(FEASIBILITY_CUT, np.ones(5),
+                                  violation=x.sum() - 3.0 if deep else 0.0)
+        else:
+            dx = x - BOUNDARY_TARGET
+            value = float(-BOUNDARY_WEIGHTS @ np.abs(dx) - dx @ dx) if deep else 0.0
+            res = CutOracleResult(OBJECTIVE_CUT,
+                                  -BOUNDARY_WEIGHTS * np.sign(dx) - 2.0 * dx, value)
+        kinds.append(res.kind)
+        return res
+    return oracle
+
+
+def assert_matches_textbook(deep):
+    # the start violates sum(x) <= 3 by 3, so the first cut is capped
     iters = 400
-    center0, radius = np.full(5, 0.7), np.array([3.0, 1.0, 4.0, 2.0, 1.5])
+    center0, radius = np.full(5, 1.2), np.array([3.0, 1.0, 4.0, 2.0, 1.5])
     ref_queried, kinds = [], []
-    ref = textbook_run(make_oracle(ref_queried, kinds), center0, radius, iters)
+    ref = textbook_run(boundary_oracle(ref_queried, kinds, deep), center0, radius, iters)
     queried = []
-    res = ellipsoid_run(make_oracle(queried, []), center0, radius,
+    res = ellipsoid_run(boundary_oracle(queried, [], deep), center0, radius,
                         tol=0.0, max_iter=iters)
 
     assert kinds.count(OBJECTIVE_CUT) > 100 and kinds.count(FEASIBILITY_CUT) > 100
     assert res.iterations == iters and not res.converged
     assert len(queried) == len(ref_queried) == iters
     assert all(np.array_equal(a, b) for a, b in zip(queried, ref_queried))
-    best_point, best_value, gap_bound, center, axis_radii, shape_det = ref
-    assert np.array_equal(res.best_point, best_point)
-    assert res.best_value == best_value
-    assert res.gap_bound == gap_bound
-    assert np.array_equal(res.center, center)
-    assert np.array_equal(res.axis_radii, axis_radii)
-    assert res.shape_det == shape_det
+    assert np.array_equal(res.best_point, ref.best_point)
+    assert res.best_value == ref.best_value
+    assert res.gap_bound == ref.gap_bound
+    assert np.array_equal(res.center, ref.center)
+    assert np.array_equal(res.axis_radii, ref.axis_radii)
+    assert res.shape_det == ref.shape_det
+    return ref.alphas, kinds
+
+
+def test_kernel_matches_textbook_update_bit_for_bit():
+    alphas, kinds = assert_matches_textbook(deep=True)
+    # deep cuts of both kinds, the first at the cap, and central ones too
+    for kind in (OBJECTIVE_CUT, FEASIBILITY_CUT):
+        assert sum(a > 0.0 for a, k in zip(alphas, kinds) if k == kind) > 50
+    assert alphas[0] == DEEP_CUT_MAX
+    assert 0 < alphas.count(0.0) < len(alphas)
+
+
+def test_kernel_central_cuts_match_the_central_update_bit_for_bit():
+    # no depth anywhere: the kernel runs the central-cut update as first
+    # written, float for float
+    alphas, _ = assert_matches_textbook(deep=False)
+    assert set(alphas) == {0.0}
+
+
+def test_deep_cuts_1d_keep_the_maximizer():
+    # maximize -(x - 0.3)^2 from far off: every ellipsoid (an interval)
+    # keeps the maximizer, and the run converges in fewer iterations
+    # than central cuts, which halve the interval each time
+    def oracle(x):
+        return CutOracleResult(OBJECTIVE_CUT, np.array([-2.0 * (x[0] - 0.3)]),
+                               -(x[0] - 0.3) ** 2)
+
+    for k in range(1, 40):
+        r = ellipsoid_run(oracle, np.array([7.0]), 10.0, tol=0.0, max_iter=k)
+        assert abs(0.3 - r.center[0]) <= r.axis_radii[0] * (1.0 + 1e-12)
+    res = ellipsoid_run(oracle, np.array([7.0]), 10.0, tol=1e-12)
+    assert res.converged and abs(res.best_point[0] - 0.3) < 1e-5
 
 
 def bowl_oracle(x):

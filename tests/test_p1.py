@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import coopmec.p1
-from coopmec.dual import FULL, Restriction
+from coopmec.bench import run_benchmark
+from coopmec.dual import FULL, Restriction, eval_dual_restricted
 from coopmec.model import check_feasible, total_energy
 from coopmec.oracle import max_kkt_residual, oracle_p11
 from coopmec.p1 import (
@@ -17,6 +18,7 @@ from coopmec.p1 import (
     solve_p1,
     solve_restricted,
 )
+from coopmec.p2 import lmax_binary
 from conftest import desk_params, random_params
 
 
@@ -178,6 +180,57 @@ def test_certifies_near_capacity_with_helper_near_ap():
     assert rep.duality_gap <= GAP_TOL
     assert max_kkt_residual(rep.allocation, rep.dual, p) <= 1e-6
     assert check_feasible(rep.allocation, p).feasible(1e-9)
+
+
+def _scheme_capacity(p, scheme: str) -> float:
+    if scheme == "joint-partial":
+        return lmax_partial(p)
+    cap = lmax_binary(p)
+    return {"comp-partial": cap.l_u_max + cap.l_h_max,
+            "comm-partial": cap.l_u_max + cap.l_a_max,
+            "comm-binary": cap.l_a_max}[scheme]
+
+
+def _certified_at_fraction(scheme: str, frac: float, **desk):
+    """Solve `scheme` at `frac` of its capacity on a T = 50 ms desk
+    instance and check the full certificate."""
+    p = desk_params(T=0.05, **desk)
+    p = replace(p, L=frac * _scheme_capacity(p, scheme))
+    rep = run_benchmark(scheme, p)
+    assert rep.ok
+    assert rep.duality_gap <= GAP_TOL
+    assert max_kkt_residual(rep.allocation, rep.dual, p) <= 1e-6
+    assert check_feasible(rep.allocation, p).feasible(1e-9)
+    return p, rep
+
+
+def _direct_link_strong() -> dict:
+    # the user-AP link 100 times stronger than the default user-helper link
+    return {"h0": 100.0 * desk_params().h01}
+
+
+@pytest.mark.parametrize("scheme", ["joint-partial", "comm-partial", "comm-binary"])
+def test_certifies_at_capacity_with_helper_near_ap(scheme):
+    # L at capacity, where the dual optimum is not attained: these ended
+    # nonconverged after three radius attempts with central cuts
+    _certified_at_fraction(scheme, 1.0, D=240.0)
+
+
+def test_comp_partial_certifies_at_capacity_with_strong_direct_link():
+    # reported optimal with a KKT residual of 1.02e-6 before the KKT bound
+    # gated the end-of-pass candidates
+    _certified_at_fraction("comp-partial", 1.0, **_direct_link_strong())
+
+
+def test_comm_binary_tiny_task_with_strong_direct_link_is_weakly_dual():
+    # at 1e-6 of capacity the relay slot's price sits within 2.1e-13 of
+    # zero; a tie band there overstated the dual value by 6.4e-7 of the
+    # energy. The exact dual value at the report's dual point stays below
+    # the energy (weak duality)
+    p, rep = _certified_at_fraction("comm-binary", 1e-6, **_direct_link_strong())
+    rest = Restriction(helper_path=False, local_bits=False, l_a_pinned=p.L)
+    value, _, _ = eval_dual_restricted(rep.dual, p, rest)
+    assert value <= rep.energy * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("rest,label", [
