@@ -73,17 +73,14 @@ class DualPoint:
         )
 
 
-# Not frozen: a frozen dataclass sets its 21 fields through
-# object.__setattr__, about 4 us of each ~28 us dual evaluation. So
-# instances are mutable and unhashable; each evaluation returns a fresh one
-# and nothing in the package mutates it.
+# Not frozen: a frozen dataclass sets its fields through
+# object.__setattr__, which costs microseconds of each dual evaluation.
+# So instances are mutable and unhashable; each evaluation returns a fresh
+# one and nothing in the package mutates it.
 @dataclass(slots=True)
 class SubproblemSolution:
     """Assembled minimizer of the five subproblems at one dual point."""
 
-    E1: float
-    E2: float
-    E3: float
     tau1: float
     tau2: float
     tau3: float
@@ -94,14 +91,6 @@ class SubproblemSolution:
     P2: float
     P3: float
     M1: float          # helper compute rate l_h/(T - tau1), bits/s
-    rho1: float        # marginal price of opening each slot
-    rho2: float
-    rho3: float
-    alpha1: float      # KKT multipliers of the active power/frequency caps
-    alpha2: float
-    alpha3: float
-    beta1: float
-    g_value: float
 
 
 def _clip(x: float, lo: float, hi: float) -> float:
@@ -121,8 +110,7 @@ def solve_sub1(d: DualPoint, p: SystemParams) -> dict:
     bang-bang on the sign of rho1 = price_on - price_off.
     """
     _require_signs(d)
-    g01 = p.g01
-    P1 = _clip(d.lam1 * p.B / LN2 - 1.0 / g01, 0.0, p.P_u_max)
+    P1 = _clip(d.lam1 * p.B / LN2 - 1.0 / p.g01, 0.0, p.P_u_max)
     m_cap = p.f_h_max / p.c_h
     k3 = 3.0 * p.kappa_h * p.c_h**3
     gain = d.mu2 - d.lam1
@@ -133,23 +121,13 @@ def solve_sub1(d: DualPoint, p: SystemParams) -> dict:
     price_off = p.kappa_h * p.c_h**3 * M1**3 - gain * M1
     rho1 = price_on - price_off
 
-    alpha1 = 0.0
-    if P1 >= p.P_u_max:
-        alpha1 = d.lam1 * p.B * g01 / (LN2 * (1.0 + P1 * g01)) - 1.0
-    beta1 = 0.0
-    if M1 >= m_cap:
-        beta1 = gain - 3.0 * p.kappa_h * p.c_h**3 * M1**2
-
     tau1 = p.T if rho1 < 0.0 else 0.0
     return {
         "P1": P1,
         "M1": M1,
         "tau1": tau1,
-        "E1": P1 * tau1,
         "l_h": M1 * (p.T - tau1),
         "rho1": rho1,
-        "alpha1": alpha1,
-        "beta1": beta1,
         "value": tau1 * price_on + (p.T - tau1) * price_off,
         "r01": rate1,
     }
@@ -189,16 +167,9 @@ def solve_sub2(d: DualPoint, p: SystemParams) -> dict:
 
     rate_ap, rate_h = r0(P2, p), r01(P2, p)
     rho2 = d.mu1 + phi(P2, rate_ap, rate_h)
-    alpha2 = 0.0
-    if P2 >= p.P_u_max:
-        alpha2 = (
-            d.lam3 * p.B * g01 / ((1.0 + P2 * g01) * LN2)
-            + d.lam2 * p.B * g0 / ((1.0 + P2 * g0) * LN2)
-            - 1.0
-        )
     tau2 = p.T if rho2 < 0.0 else 0.0
-    return {"P2": P2, "tau2": tau2, "E2": P2 * tau2, "rho2": rho2,
-            "alpha2": alpha2, "value": tau2 * rho2, "r0": rate_ap, "r01": rate_h}
+    return {"P2": P2, "tau2": tau2, "rho2": rho2, "value": tau2 * rho2,
+            "r0": rate_ap, "r01": rate_h}
 
 
 # -- subproblem 3: helper forward slot ---------------------------------------
@@ -209,16 +180,11 @@ def solve_sub3(d: DualPoint, p: SystemParams) -> dict:
     over 0 <= E3 <= tau3 P_h_max, 0 <= tau3 <= T.
     """
     _require_signs(d)
-    g1 = p.g1
-    P3 = _clip(d.lam2 * p.B / LN2 - 1.0 / g1, 0.0, p.P_h_max)
+    P3 = _clip(d.lam2 * p.B / LN2 - 1.0 / p.g1, 0.0, p.P_h_max)
     rate3 = r1(P3, p)
     rho3 = d.mu1 + P3 - d.lam2 * rate3
-    alpha3 = 0.0
-    if P3 >= p.P_h_max:
-        alpha3 = d.lam2 * p.B * g1 / ((1.0 + P3 * g1) * LN2) - 1.0
     tau3 = p.T if rho3 < 0.0 else 0.0
-    return {"P3": P3, "tau3": tau3, "E3": P3 * tau3, "rho3": rho3,
-            "alpha3": alpha3, "value": tau3 * rho3, "r1": rate3}
+    return {"P3": P3, "tau3": tau3, "rho3": rho3, "value": tau3 * rho3, "r1": rate3}
 
 
 # -- subproblem 4: local bits -------------------------------------------------
@@ -319,12 +285,9 @@ FULL = Restriction()
 
 
 # the blocks a restriction pins: their subproblems' minimizers are all zero
-_SUB1_OFF = {"P1": 0.0, "M1": 0.0, "tau1": 0.0, "E1": 0.0, "l_h": 0.0,
-             "rho1": 0.0, "alpha1": 0.0, "beta1": 0.0, "value": 0.0, "r01": 0.0}
-_SUB2_OFF = {"P2": 0.0, "tau2": 0.0, "E2": 0.0, "rho2": 0.0, "alpha2": 0.0,
-             "value": 0.0, "r0": 0.0, "r01": 0.0}
-_SUB3_OFF = {"P3": 0.0, "tau3": 0.0, "E3": 0.0, "rho3": 0.0, "alpha3": 0.0,
-             "value": 0.0, "r1": 0.0}
+_SUB1_OFF = {"P1": 0.0, "M1": 0.0, "tau1": 0.0, "l_h": 0.0, "value": 0.0, "r01": 0.0}
+_SUB2_OFF = {"P2": 0.0, "tau2": 0.0, "value": 0.0, "r0": 0.0, "r01": 0.0}
+_SUB3_OFF = {"P3": 0.0, "tau3": 0.0, "value": 0.0, "r1": 0.0}
 
 
 def eval_dual_restricted(
@@ -366,18 +329,9 @@ def eval_dual_restricted(
         g_value += d.mu2 * p.L
 
     tau1, tau2, tau3, l_h = s1["tau1"], s2["tau2"], s3["tau3"], s1["l_h"]
-    # positional, in field order: 21 keywords would cost 2 us per call
+    # positional, in field order: keywords cost time on every call
     sol = SubproblemSolution(
-        s1["E1"], s2["E2"], s3["E3"],
-        tau1, tau2, tau3,
-        l_u, l_h, l_a,
-        s1["P1"], s2["P2"], s3["P3"],
-        s1["M1"],
-        s1["rho1"], s2["rho2"], s3["rho3"],
-        s1["alpha1"], s2["alpha2"], s3["alpha3"],
-        s1["beta1"],
-        g_value,
-    )
+        tau1, tau2, tau3, l_u, l_h, l_a, s1["P1"], s2["P2"], s3["P3"], s1["M1"])
     # residuals of the dualized constraints, in DUAL_NAMES order
     full_sub = (
         l_h - tau1 * s1["r01"],

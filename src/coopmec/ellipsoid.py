@@ -3,8 +3,8 @@
 The caller supplies a cut oracle: at a query point it either returns a
 supergradient of the objective (objective cut, with the value) or the
 gradient of a violated linear constraint and how far it is violated
-(feasibility cut). Convergence is declared when the ellipsoid bound on
-the remaining objective gap, sqrt(g' A g), drops below tolerance.
+(feasibility cut). The run has no geometric stop: it ends when the
+caller's checkpoint accepts, at a zero supergradient, or at max_iter.
 
 Every cut is a deep cut (Boyd, EE364b ellipsoid method notes). At an
 objective cut at x, any maximizer z satisfies g'(z - x) >= best - f(x),
@@ -26,11 +26,13 @@ The update A - c (Ag)(Ag)' keeps A exactly symmetric (Ag_i Ag_j =
 Ag_j Ag_i in floating point), so no re-symmetrization is needed.
 
 An optional checkpoint lets the caller stop the run on its own
-certificate instead of on geometry: on an objective cut, each time the
-relative gap bound sqrt(g' A g) / |best value| first drops below a new
-decade (1e-3, then 1e-4, and so on), checkpoint(best_point, best_value)
-is called once, and a True return ends the run as converged. Without a
-checkpoint the run does the same float operations.
+certificate: on an objective cut, each time the relative gap bound
+sqrt(g' A g) / |best value| first drops below a new decade (1e-3, then
+1e-4, and so on), checkpoint(center, best_point, best_value) is called
+once, and a True return ends the run as converged. The center is the
+point that just took the objective cut, so it passed the oracle's
+feasibility checks. Without a checkpoint the run does the same float
+operations.
 """
 
 from __future__ import annotations
@@ -66,10 +68,8 @@ class EllipsoidResult:
     converged: bool
     iterations: int
     gap_bound: float
-    # final ellipsoid geometry: any retained optimum satisfies
-    # |x*_j - center_j| <= axis_radii_j
+    # final ellipsoid: its center and the determinant of its shape matrix
     center: np.ndarray | None = None
-    axis_radii: np.ndarray | None = None
     shape_det: float = float("nan")
 
 
@@ -77,24 +77,18 @@ def ellipsoid_run(
     oracle: Callable[[np.ndarray], CutOracleResult],
     init_center: np.ndarray,
     init_radius: np.ndarray | float,
-    tol: float = 1e-9,
     max_iter: int = 5000,
-    tol_rel: float = 0.0,
-    coord_tol: np.ndarray | None = None,
-    checkpoint: Callable[[np.ndarray, float], bool] | None = None,
+    checkpoint: Callable[[np.ndarray, np.ndarray, float], bool] | None = None,
 ) -> EllipsoidResult:
     """Maximize a concave function over a convex set given by cut oracles.
 
     init_radius may be a scalar or a per-coordinate vector; the initial
     ellipsoid is the axis-aligned one diag(radius^2) around init_center
-    and must contain an optimum. Convergence needs the objective-gap
-    bound sqrt(g' A g) below max(tol, tol_rel*|best|) and, when coord_tol
-    is given, the per-axis ellipsoid radii sqrt(diag A) below it as well
-    (the objective can be flat along constrained directions long before
-    the dual point itself is pinned down). Numerical loss of positive
-    definiteness restarts the search around the best point with doubled
-    radius. checkpoint, if given, is called as the module docstring
-    describes; returning True stops the run with converged=True.
+    and must contain an optimum. The run takes max_iter iterations unless
+    checkpoint (called as the module docstring describes) returns True or
+    a zero supergradient shows the center is a maximizer; either ends it
+    with converged=True. Numerical loss of positive definiteness restarts
+    the search around the best point with doubled radius.
     """
     center = np.asarray(init_center, dtype=float).copy()
     n = center.size
@@ -112,11 +106,6 @@ def ellipsoid_run(
     # the relative gap bound below which the checkpoint fires next; 0.0
     # never fires (no checkpoint, or every representable decade passed)
     decade = 1e-3 if checkpoint is not None else 0.0
-
-    def coords_tight() -> bool:
-        if coord_tol is None:
-            return True
-        return bool((np.sqrt(np.maximum(A.diagonal(), 0.0)) <= coord_tol).all())
 
     # deep-cut update A <- shrink (1 - alpha^2) (A - step (1 + n alpha)/(1 + alpha)
     # (Ag)(Ag)') for n > 1; every factor is exactly 1.0 at alpha = 0
@@ -136,16 +125,13 @@ def ellipsoid_run(
                 best_value = res.value
                 best_point = center.copy()
             gap_bound = math.sqrt(max(gAg, 0.0))
-            if gap_bound <= max(tol, tol_rel * abs(best_value)) and coords_tight():
-                converged = True
-                break
             if (decade > 0.0 and best_point is not None
                     and gap_bound <= decade * abs(best_value)):
                 # skip every decade this bound already passed; the factor
                 # underflows to 0.0, so a zero bound or value ends the loop
                 while decade > 0.0 and gap_bound <= decade * abs(best_value):
                     decade *= 0.1
-                if checkpoint(best_point, best_value):
+                if checkpoint(center, best_point, best_value):
                     converged = True
                     break
             if not (gAg > 0.0):
@@ -186,7 +172,6 @@ def ellipsoid_run(
         iterations=it,
         gap_bound=float(gap_bound),
         center=center,
-        axis_radii=np.sqrt(np.maximum(np.diag(A), 0.0)),
         shape_det=float(np.linalg.det(A)),
     )
 

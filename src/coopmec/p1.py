@@ -45,10 +45,9 @@ STATUS_NONCONVERGED = "nonconverged"
 GAP_TOL = 1e-5       # relative duality gap declared optimal
 FEAS_TOL = 1e-9      # normalized constraint tolerance on recovered points
 CHECKPOINT_KKT_TOL = 1e-6  # scaled KKT residual an optimal report must reach
-# iteration caps of the wide and the zoom ellipsoid pass: a pass stops on
-# the certificate, so the caps only end instances that never certify
+# iteration cap of the ellipsoid run: it stops on the certificate, so the
+# cap only ends instances that never certify
 MAX_ITER = 5000
-ZOOM_MAX_ITER = 2500
 
 
 class RecoveryError(RuntimeError):
@@ -78,9 +77,11 @@ def lmax_partial(p: SystemParams) -> float:
     """Computation capacity under partial offloading (bits per block).
 
     LP over (tau1..tau3, l_u, l_h, l_a) with every resource saturated:
-    transmit powers at their caps, both CPUs pinned at full frequency,
-    the block fully used, and the relay's decode and forward flows
-    balanced. Returns 0 if the LP has no feasible point.
+    transmit powers at their caps, both CPUs pinned at full frequency and
+    the block fully used. The AP bits are capped by both decode-and-forward
+    rates: what the helper decodes in tau2, and what the AP collects over
+    the direct link in tau2 plus the forward slot tau3. Returns 0 if the
+    LP has no feasible point.
     """
     r01m = r01(p.P_u_max, p)
     r0m = r0(p.P_u_max, p)
@@ -91,14 +92,14 @@ def lmax_partial(p: SystemParams) -> float:
         [1.0, 1.0, 1.0, 0.0, 0.0, ca_f],               # block fully used
         [0.0, 0.0, 0.0, p.c_u / p.T, 0.0, 0.0],        # user CPU at f_u_max
         [p.f_h_max, 0.0, 0.0, 0.0, p.c_h, 0.0],        # helper CPU at f_h_max
-        [0.0, r0m - r01m, r1m, 0.0, 0.0, 0.0],         # DF flow balance
     ]
-    b_eq = [p.T, p.f_u_max, p.T * p.f_h_max, 0.0]
+    b_eq = [p.T, p.f_u_max, p.T * p.f_h_max]
     A_ub = [
         [-r01m, 0.0, 0.0, 0.0, 1.0, 0.0],              # l_h <= tau1 r01
         [0.0, -r01m, 0.0, 0.0, 0.0, 1.0],              # l_a <= tau2 r01
+        [0.0, -r0m, -r1m, 0.0, 0.0, 1.0],              # l_a <= tau2 r0 + tau3 r1
     ]
-    b_ub = [0.0, 0.0]
+    b_ub = [0.0, 0.0, 0.0]
     sol = lp_solve(LpProblem(
         c=np.array([0.0, 0.0, 0.0, -1.0, -1.0, -1.0]),
         A_ub=np.array(A_ub), b_ub=np.array(b_ub),
@@ -340,18 +341,15 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
     """Dual ascent + recovery for the (possibly pinned) convex problem.
 
     Assumes the instance is feasible for the restriction; callers do the
-    capacity check. Each ellipsoid pass stops on the certificate: every
-    time its gap bound drops a decade, the primal is recovered at the
-    best dual point, and the pass ends once the duality gap is within
-    GAP_TOL, the allocation is feasible and the KKT residual is within
-    CHECKPOINT_KKT_TOL. A certified wide pass hands its final box to the
-    zoom pass, whose first certified checkpoint is the answer. The caps
-    MAX_ITER and ZOOM_MAX_ITER, and the end-of-pass candidates after
-    them, are the backstop for instances that never certify; a report
-    is `optimal` on either path only under that same certificate, gap,
-    feasibility and KKT residual, and `nonconverged` otherwise. Escalates
-    the initial ellipsoid radius if the first bracket misses the dual
-    optimum.
+    capacity check. One ellipsoid run maximizes the dual, and it stops on
+    the certificate: every time its gap bound drops a decade, the primal
+    is recovered at the ellipsoid's center, then at the best dual point,
+    and the run ends once an allocation has a duality gap within GAP_TOL
+    (against the best dual value), is feasible and has a KKT residual
+    within CHECKPOINT_KKT_TOL. An instance that never certifies runs to
+    MAX_ITER and is recovered once at the best dual point; that report is
+    `optimal` only under the same certificate, and `nonconverged`
+    otherwise.
     """
     if p.L == 0.0 and rest.l_a_pinned in (None, 0.0):
         a = Allocation.zero(p)
@@ -361,12 +359,12 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
             mode_label=label, feasibility=check_feasible(a, p),
         )
 
-    def report_at(point: np.ndarray, dual_bound: float):
-        # recover the primal at a dual point: (report, KKT residual), or
-        # None. The certificate is the gap itself (energy minus the best
-        # dual value bounds the distance to the optimum by weak duality),
-        # the feasibility of the allocation and its KKT residual at the
-        # dual point; `optimal` means all three hold
+    def report_at(point: np.ndarray, dual_bound: float) -> SolveReport | None:
+        # recover the primal at a dual point, or None. The certificate is
+        # the gap itself (energy minus the best dual value bounds the
+        # distance to the optimum by weak duality), the feasibility of the
+        # allocation and its KKT residual at the dual point; `optimal`
+        # means all three hold
         d = rest.expand(point)
         try:
             alloc = recover_primal(d, p, rest)
@@ -375,132 +373,50 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
         energy = total_energy(alloc, p)
         feas = check_feasible(alloc, p)
         gap = _rel_gap(energy, dual_bound)
-        kkt = float("inf")
-        if gap <= GAP_TOL and feas.feasible(FEAS_TOL):
-            kkt = max_kkt_residual(alloc, d, p)
+        holds = (gap <= GAP_TOL and feas.feasible(FEAS_TOL)
+                 and max_kkt_residual(alloc, d, p) <= CHECKPOINT_KKT_TOL)
         return SolveReport(
-            status=STATUS_OPTIMAL if kkt <= CHECKPOINT_KKT_TOL
-            else STATUS_NONCONVERGED,
-            energy=energy,
-            allocation=alloc,
-            dual=d,
-            duality_gap=gap,
-            iterations=iters,
-            mode_label=label,
-            feasibility=feas,
-        ), kkt
+            status=STATUS_OPTIMAL if holds else STATUS_NONCONVERGED,
+            energy=energy, allocation=alloc, dual=d, duality_gap=gap,
+            mode_label=label, feasibility=feas,
+        )
 
     certified: list[SolveReport] = []
+    rejected = [None]  # the best point the previous call rejected
 
-    def checkpoint(dual_floor: float):
-        # one pass's checkpoint; its dual bound is max(dual_floor, the
-        # pass's best value), and a certified report ends the pass
-        last = [None, None]  # (value, point) of the previous, rejected call
-
-        def certify(point: np.ndarray, value: float) -> bool:
-            # the ascent hands over the same best point until it finds a
-            # better value, and that point's recovery was already rejected
-            if value == last[0] and np.array_equal(point, last[1]):
-                return False
-            last[:] = value, point
-            at = report_at(point, max(dual_floor, value))
-            if at is None or not at[0].ok:
-                return False
-            certified.append(at[0])
-            return True
-        return certify
+    def checkpoint(center: np.ndarray, point: np.ndarray, value: float) -> bool:
+        # the ascent hands over the same best point until it finds a
+        # better value; a recovery already rejected is not repeated
+        points = [center]
+        if not (np.array_equal(point, center) or np.array_equal(point, rejected[0])):
+            points.append(point)
+        for x in points:
+            report = report_at(x, value)
+            if report is not None and report.ok:
+                certified.append(report)
+                return True
+        rejected[0] = point
+        return False
 
     scales = _dual_scales(p, rest)
-    oracle = _make_oracle(p, rest)
-    best: SolveReport | None = None
-    iters = 0
-    for attempt in range(3):
-        mult = 32.0**attempt
-        center = 0.25 * scales * mult
-        radius = 8.0 * scales * mult
-        res = ell.ellipsoid_run(
-            oracle, center, radius,
-            tol=1e-16, max_iter=MAX_ITER, tol_rel=1e-12,
-            coord_tol=1e-7 * scales * mult,
-            checkpoint=checkpoint(-np.inf),
-        )
-        iters += res.iterations
-        if res.best_point is None:
-            continue
-        # zoom: re-run inside the final ellipsoid's axis-aligned bounding
-        # box (which still contains the optimum). The fresh, tightly
-        # bracketed start pins the dual coordinates far beyond what the
-        # wide bracket can, and the primal recovery repays that accuracy.
-        # Its geometric stop ignores the value-gap bound, which at tie
-        # points stays pessimistic long after the coordinates are pinned.
-        certified.clear()  # a wide certificate only ended the wide pass
-        zres = ell.ellipsoid_run(
-            oracle, res.center,
-            np.maximum(2.0 * res.axis_radii, 1e-14 * scales),
-            tol=float("inf"), max_iter=ZOOM_MAX_ITER,
-            coord_tol=np.maximum(1e-10 * np.abs(res.best_point), 1e-14 * scales),
-            checkpoint=checkpoint(res.best_value),
-        )
-        iters += zres.iterations
-        if certified:
-            certified[0].iterations = iters
-            return certified[0]
-        dual_bound = max(res.best_value, zres.best_value)
-        # preferred recovery point: the zoomed ellipsoid's center, which
-        # is pinned geometrically once the zoom converged (best_point
-        # only maximizes a floating-point-noisy sampled value); otherwise
-        # whatever refined point the zoom visited, then the base point
-        dual_points = []
-        if zres.converged and zres.center is not None:
-            dual_points.append(_project_feasible(zres.center, rest, p))
-        if zres.best_point is not None:
-            dual_points.append(zres.best_point)
-        dual_points.append(res.best_point)
-
-        ok_reports: list[tuple[float, SolveReport]] = []
-        for point in dual_points:
-            at = report_at(point, dual_bound)
-            if at is None:
-                continue
-            report, kkt = at
-            if report.ok:
-                # certified points are interchangeable only up to energy
-                # noise; take the cheapest, break energy ties (1e-10 band)
-                # toward the cleanest KKT certificate
-                ok_reports.append((kkt, report))
-                if kkt <= 1e-8:
-                    break
-            elif best is None or report.duality_gap < best.duality_gap:
-                best = report
-        if ok_reports:
-            e_min = min(kr[1].energy for kr in ok_reports)
-            near = [kr for kr in ok_reports
-                    if kr[1].energy <= e_min * (1.0 + 1e-10) + 1e-300]
-            return min(near, key=lambda kr: kr[0])[1]
-    if best is None:
-        return SolveReport(status=STATUS_NONCONVERGED, iterations=iters,
-                           mode_label=label)
-    return best
+    res = ell.ellipsoid_run(_make_oracle(p, rest), 0.25 * scales, 8.0 * scales,
+                            max_iter=MAX_ITER, checkpoint=checkpoint)
+    if certified:
+        report = certified[0]
+    elif res.best_point is None:
+        report = None
+    else:
+        report = report_at(res.best_point, res.best_value)
+    if report is None:
+        report = SolveReport(status=STATUS_NONCONVERGED, mode_label=label)
+    report.iterations = res.iterations
+    return report
 
 
 def _rel_gap(primal: float, dual: float) -> float:
     if abs(primal) < 1e-20 and abs(dual) < 1e-20:
         return 0.0
     return abs(primal - dual) / max(abs(primal), 1e-30)
-
-
-def _project_feasible(x: np.ndarray, rest: Restriction, p: SystemParams) -> np.ndarray:
-    """Clip a near-optimal dual point onto the dual feasible set."""
-    x = x.copy()
-    names = rest.active_duals
-    for i, name in enumerate(names):
-        if name != "mu2":
-            x[i] = max(x[i], 0.0)
-    if rest.l_a_pinned is None:
-        lam2, lam3, mu1, mu2 = map(names.index, ("lam2", "lam3", "mu1", "mu2"))
-        cap = x[lam2] + x[lam3] + x[mu1] * p.c_a / p.f_a_max
-        x[mu2] = min(x[mu2], cap)
-    return x
 
 
 def _lift_full_dual(d: DualPoint, p: SystemParams) -> DualPoint:

@@ -20,8 +20,7 @@ def quadratic_oracle(x):
 
 
 def test_quadratic_1d():
-    res = ellipsoid_run(quadratic_oracle, np.array([7.0]), 10.0, tol=1e-8)
-    assert res.converged
+    res = ellipsoid_run(quadratic_oracle, np.array([7.0]), 10.0, max_iter=100)
     assert abs(res.best_point[0]) < 1e-4
     assert res.best_value == pytest.approx(0.0, abs=1e-8)
 
@@ -32,7 +31,7 @@ def test_nonsmooth_2d():
         g = np.array([-np.sign(x[0] - 2.0), -np.sign(x[1] + 1.0)])
         return CutOracleResult(OBJECTIVE_CUT, g, -abs(x[0] - 2.0) - abs(x[1] + 1.0))
 
-    res = ellipsoid_run(oracle, np.zeros(2), 10.0, tol=1e-8, max_iter=3000)
+    res = ellipsoid_run(oracle, np.zeros(2), 10.0, max_iter=3000)
     assert abs(res.best_point[0] - 2.0) < 1e-5
     assert abs(res.best_point[1] + 1.0) < 1e-5
 
@@ -50,7 +49,7 @@ def test_constrained_piecewise_linear():
         g = np.array([1.0, 0.0]) if x[0] < 1.0 - x[0] else np.array([-1.0, 0.0])
         return CutOracleResult(OBJECTIVE_CUT, g, v)
 
-    res = ellipsoid_run(oracle, np.array([0.9, 0.9]), 3.0, tol=1e-9, max_iter=4000)
+    res = ellipsoid_run(oracle, np.array([0.9, 0.9]), 3.0, max_iter=4000)
     assert res.best_value == pytest.approx(0.5, abs=1e-5)
     assert res.best_point[0] == pytest.approx(0.5, abs=1e-4)
 
@@ -63,7 +62,7 @@ def test_volume_contraction():
         return CutOracleResult(OBJECTIVE_CUT, -2.0 * x, -float(x @ x))
 
     iters = 120
-    res = ellipsoid_run(oracle, np.full(n, 5.0), 10.0, tol=0.0, max_iter=iters)
+    res = ellipsoid_run(oracle, np.full(n, 5.0), 10.0, max_iter=iters)
     assert res.iterations == iters
     det0 = (10.0**2) ** n
     assert res.shape_det <= det0 * math.exp(-iters / (2.0 * n))
@@ -77,7 +76,7 @@ def test_monotone_best_value():
         vals.append(v)
         return CutOracleResult(OBJECTIVE_CUT, -2.0 * (x - 1.0), v)
 
-    res = ellipsoid_run(oracle, np.zeros(2), 5.0, tol=1e-10, max_iter=500)
+    res = ellipsoid_run(oracle, np.zeros(2), 5.0, max_iter=500)
     best_seq = np.maximum.accumulate(vals)
     assert res.best_value == pytest.approx(best_seq[-1])
     assert np.all(np.diff(best_seq) >= 0.0)
@@ -115,7 +114,7 @@ def test_per_coordinate_radius():
         )
 
     res = ellipsoid_run(oracle, np.array([5.0, 5e-3]), np.array([10.0, 1e-2]),
-                        tol=1e-10, max_iter=2000)
+                        max_iter=2000)
     assert abs(res.best_point[0]) < 1e-4
     assert abs(res.best_point[1]) < 1e-7
 
@@ -124,7 +123,7 @@ def test_zero_supergradient_terminates():
     def oracle(x):
         return CutOracleResult(OBJECTIVE_CUT, np.zeros(2), 1.0)
 
-    res = ellipsoid_run(oracle, np.zeros(2), 1.0, tol=1e-12)
+    res = ellipsoid_run(oracle, np.zeros(2), 1.0)
     assert res.converged
     assert res.iterations == 1
 
@@ -184,8 +183,7 @@ def textbook_run(oracle, center, radius, max_iter, ellipsoids=None):
         ellipsoids.append((center, A))
     return SimpleNamespace(
         best_point=best_point, best_value=best_value, gap_bound=gap_bound,
-        center=center, axis_radii=np.sqrt(np.maximum(np.diag(A), 0.0)),
-        shape_det=float(np.linalg.det(A)), alphas=alphas)
+        center=center, shape_det=float(np.linalg.det(A)), alphas=alphas)
 
 
 #: maximize a nonsmooth concave function over {x >= 0, sum(x) <= 3}, whose
@@ -226,7 +224,7 @@ def assert_matches_textbook(deep):
     ref = textbook_run(boundary_oracle(ref_queried, kinds, deep), center0, radius, iters)
     queried = []
     res = ellipsoid_run(boundary_oracle(queried, [], deep), center0, radius,
-                        tol=0.0, max_iter=iters)
+                        max_iter=iters)
 
     assert kinds.count(OBJECTIVE_CUT) > 100 and kinds.count(FEASIBILITY_CUT) > 100
     assert res.iterations == iters and not res.converged
@@ -236,7 +234,6 @@ def assert_matches_textbook(deep):
     assert res.best_value == ref.best_value
     assert res.gap_bound == ref.gap_bound
     assert np.array_equal(res.center, ref.center)
-    assert np.array_equal(res.axis_radii, ref.axis_radii)
     assert res.shape_det == ref.shape_det
     return ref.alphas, kinds
 
@@ -258,18 +255,23 @@ def test_kernel_central_cuts_match_the_central_update_bit_for_bit():
 
 
 def test_deep_cuts_1d_keep_the_maximizer():
-    # maximize -(x - 0.3)^2 from far off: every ellipsoid (an interval)
-    # keeps the maximizer, and the run converges in fewer iterations
-    # than central cuts, which halve the interval each time
-    def oracle(x):
-        return CutOracleResult(OBJECTIVE_CUT, np.array([-2.0 * (x[0] - 0.3)]),
-                               -(x[0] - 0.3) ** 2)
+    # maximize -(x - 0.3)^2 from far off: every ellipsoid (an interval
+    # of half-width sqrt(det A)) keeps the maximizer, and the gap bound
+    # falls below 1e-12 in fewer iterations than with central cuts, which
+    # halve the interval each time
+    def oracle(x, deep=True):
+        dx = x[0] - 0.3
+        return CutOracleResult(OBJECTIVE_CUT, np.array([-2.0 * dx]),
+                               -dx * dx if deep else 0.0)
 
     for k in range(1, 40):
-        r = ellipsoid_run(oracle, np.array([7.0]), 10.0, tol=0.0, max_iter=k)
-        assert abs(0.3 - r.center[0]) <= r.axis_radii[0] * (1.0 + 1e-12)
-    res = ellipsoid_run(oracle, np.array([7.0]), 10.0, tol=1e-12)
-    assert res.converged and abs(res.best_point[0] - 0.3) < 1e-5
+        r = ellipsoid_run(oracle, np.array([7.0]), 10.0, max_iter=k)
+        assert abs(0.3 - r.center[0]) <= math.sqrt(r.shape_det) * (1.0 + 1e-12)
+    res = ellipsoid_run(oracle, np.array([7.0]), 10.0, max_iter=22)
+    assert res.gap_bound <= 1e-12 and abs(res.best_point[0] - 0.3) < 1e-5
+    central = ellipsoid_run(lambda x: oracle(x, deep=False), np.array([7.0]),
+                            10.0, max_iter=22)
+    assert central.gap_bound > 1e-12
 
 
 def bowl_oracle(x):
@@ -292,15 +294,15 @@ def test_checkpoint_fires_once_per_decade(center, radius, first_decade):
         queried.append(x.copy())
         return bowl_oracle(x)
 
-    def checkpoint(point, value):
+    def checkpoint(center, point, value):
         calls.append((len(queried), point.copy(), value))
         return False
 
     def run(max_iter, **kwargs):
-        return ellipsoid_run(bowl_oracle, center, radius, tol=0.0,
-                             max_iter=max_iter, **kwargs)
+        return ellipsoid_run(bowl_oracle, center, radius, max_iter=max_iter,
+                             **kwargs)
 
-    res = ellipsoid_run(oracle, center, radius, tol=0.0, max_iter=iters,
+    res = ellipsoid_run(oracle, center, radius, max_iter=iters,
                         checkpoint=checkpoint)
     plain = run(iters)
     # a checkpoint that never stops the run leaves it unchanged
@@ -327,14 +329,37 @@ def test_checkpoint_fires_once_per_decade(center, radius, first_decade):
         assert np.array_equal(point, r.best_point) and value == r.best_value
 
 
+def test_checkpoint_receives_the_center_that_took_the_objective_cut():
+    # on a problem whose optimum sits on the boundary both cut kinds keep
+    # firing; every call gets the center the oracle just answered with an
+    # objective cut, and the run goes on exactly as without a checkpoint
+    queried, kinds, calls = [], [], []
+
+    def checkpoint(center, point, value):
+        calls.append((len(queried), center.copy(), point.copy(), value))
+        return False
+
+    center0, radius = np.full(5, 1.2), np.array([3.0, 1.0, 4.0, 2.0, 1.5])
+    res = ellipsoid_run(boundary_oracle(queried, kinds), center0, radius,
+                        max_iter=700, checkpoint=checkpoint)
+    plain = ellipsoid_run(boundary_oracle([], []), center0, radius, max_iter=700)
+    assert np.array_equal(res.center, plain.center)
+    assert len(calls) >= 3
+    for k, center, point, value in calls:
+        assert kinds[k - 1] == OBJECTIVE_CUT and FEASIBILITY_CUT in kinds[:k]
+        assert np.array_equal(center, queried[k - 1])
+        r = ellipsoid_run(boundary_oracle([], []), center0, radius, max_iter=k)
+        assert np.array_equal(point, r.best_point) and value == r.best_value
+
+
 def test_checkpoint_true_stops_the_run():
     given = []
 
-    def checkpoint(point, value):
+    def checkpoint(center, point, value):
         given.append((point.copy(), value))
         return len(given) == 2
 
-    res = ellipsoid_run(bowl_oracle, np.zeros(2), 4.0, tol=0.0, max_iter=500,
+    res = ellipsoid_run(bowl_oracle, np.zeros(2), 4.0, max_iter=500,
                         checkpoint=checkpoint)
     assert len(given) == 2
     assert res.converged and res.iterations < 500
@@ -344,15 +369,15 @@ def test_checkpoint_true_stops_the_run():
 
 @pytest.mark.parametrize("value", [0.0, 1.0])
 def test_checkpoint_at_zero_gap_bound_terminates(value):
-    # a zero supergradient gives a zero gap bound; the coordinate test keeps
-    # the run going past the convergence test into the checkpoint
+    # a zero supergradient gives a zero gap bound: the checkpoint fires
+    # once, then the zero supergradient ends the run
     calls = []
 
     def oracle(x):
         return CutOracleResult(OBJECTIVE_CUT, np.zeros(2), value)
 
-    res = ellipsoid_run(oracle, np.zeros(2), 1.0, tol=0.0, coord_tol=1e-300,
-                        checkpoint=lambda x, v: calls.append(v) or False)
+    res = ellipsoid_run(oracle, np.zeros(2), 1.0,
+                        checkpoint=lambda c, x, v: calls.append(v) or False)
     assert calls == [value]
     assert res.converged and res.iterations == 1 and res.gap_bound == 0.0
 
@@ -366,8 +391,7 @@ def test_checkpoint_at_zero_best_value_terminates():
     def oracle(x):
         return CutOracleResult(OBJECTIVE_CUT, np.array([1.0, -1.0]), 0.0)
 
-    res = ellipsoid_run(oracle, np.zeros(2), 1.0, tol=0.0, max_iter=100,
-                        coord_tol=1e-300,
-                        checkpoint=lambda x, v: calls.append(v) or False)
+    res = ellipsoid_run(oracle, np.zeros(2), 1.0, max_iter=100,
+                        checkpoint=lambda c, x, v: calls.append(v) or False)
     assert calls == [0.0]
     assert res.iterations == 100 and not res.converged

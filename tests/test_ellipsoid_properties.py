@@ -4,8 +4,10 @@ Each draw builds max f(x) s.t. G x <= h in n = 2..5 dimensions with a
 known maximizer x*: f(x) = l'(x - x*) - (x - x*)'Q(x - x*)/2 with Q
 positive definite and l = G_A' lambda for the constraints A active at x*
 (lambda > 0), so x* satisfies the KKT conditions and f* = 0. The oracle
-cuts deep on both kinds: objective cuts through the kernel's best value,
-feasibility cuts through the reported violation G_i x - h_i.
+reports f + 1, whose maximum 1 makes the checkpoint's relative gap bound
+the absolute one. It cuts deep on both kinds: objective cuts through the
+kernel's best value, feasibility cuts through the reported violation
+G_i x - h_i.
 """
 
 import numpy as np
@@ -23,6 +25,9 @@ from coopmec.ellipsoid import (  # noqa: E402
 from test_ellipsoid import textbook_run  # noqa: E402
 
 TOL = 1e-7
+#: the checkpoint call that stops a run: the k-th call comes once the
+#: relative gap bound is at most 1e-(2 + k), so the 5th one at TOL
+STOP_CALL = 5
 
 
 def quadratic_program(n: int, seed: int):
@@ -44,7 +49,7 @@ def quadratic_program(n: int, seed: int):
             return CutOracleResult(FEASIBILITY_CUT, G[i], violation=float(over[i]))
         dx = x - x_star
         return CutOracleResult(OBJECTIVE_CUT, lin - Q @ dx,
-                               float(lin @ dx - 0.5 * dx @ Q @ dx))
+                               1.0 + float(lin @ dx - 0.5 * dx @ Q @ dx))
 
     # an axis-aligned start that holds x*
     center = x_star + 2.0 * rng.normal(size=n)
@@ -62,11 +67,18 @@ def test_deep_cuts_keep_the_maximizer_and_converge(n, seed):
         queried.append(x.copy())
         return oracle(x)
 
-    res = ellipsoid_run(recording, center, radius, tol=TOL, max_iter=5000)
-    assert res.converged
-    # f* = 0, and the kernel stops once sqrt(g'Ag) <= TOL at a feasible
-    # center, which bounds f* - f(center)
-    assert -TOL <= res.best_value <= 1e-12
+    calls = []
+
+    def checkpoint(center, point, value):
+        calls.append(value)
+        return len(calls) == STOP_CALL
+
+    res = ellipsoid_run(recording, center, radius, max_iter=5000,
+                        checkpoint=checkpoint)
+    assert res.converged and len(calls) == STOP_CALL
+    # the maximum is 1, and the gap bound at the last call, at most
+    # TOL * |best value|, bounds how far the best value lies below it
+    assert -TOL <= res.best_value - 1.0 <= 1e-12
 
     # the kernel took the reference's deep-cut steps (bit for bit), and
     # every one of the reference's ellipsoids holds x*

@@ -6,12 +6,13 @@ import pytest
 import coopmec.p1
 from coopmec.bench import run_benchmark
 from coopmec.dual import FULL, Restriction, eval_dual_restricted
-from coopmec.model import check_feasible, total_energy
+from coopmec.model import check_feasible, r0, r01, r1, total_energy
 from coopmec.oracle import max_kkt_residual, oracle_p11
 from coopmec.p1 import (
     GAP_TOL,
     MAX_ITER,
     STATUS_INFEASIBLE,
+    STATUS_NONCONVERGED,
     STATUS_OPTIMAL,
     lmax_partial,
     recover_primal,
@@ -43,6 +44,43 @@ def test_lmax_increasing_in_T_and_above_local():
         assert v >= p.T * p.f_u_max / p.c_u - 1e-6
         assert v > prev
         prev = v
+
+
+def _lmax_highs(p) -> float:
+    """The joint capacity from scipy's HiGHS, written with inequalities
+    only: every route, CPU and the block within its limits."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    r01m, r0m, r1m = r01(p.P_u_max, p), r0(p.P_u_max, p), r1(p.P_h_max, p)
+    # vars: tau1, tau2, tau3, l_u, l_h, l_a
+    A_ub = [
+        [1.0, 1.0, 1.0, 0.0, 0.0, p.c_a / p.f_a_max],   # the block
+        [0.0, 0.0, 0.0, p.c_u, 0.0, 0.0],                # user CPU
+        [p.f_h_max, 0.0, 0.0, 0.0, p.c_h, 0.0],          # helper CPU after tau1
+        [-r01m, 0.0, 0.0, 0.0, 1.0, 0.0],                # helper bits
+        [0.0, -r01m, 0.0, 0.0, 0.0, 1.0],                # the helper decodes l_a
+        [0.0, -r0m, -r1m, 0.0, 0.0, 1.0],                # the AP collects l_a
+    ]
+    b_ub = [p.T, p.T * p.f_u_max, p.T * p.f_h_max, 0.0, 0.0, 0.0]
+    res = linprog([0.0, 0.0, 0.0, -1.0, -1.0, -1.0], A_ub=A_ub, b_ub=b_ub,
+                  bounds=[(0.0, None)] * 6, method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def test_lmax_with_a_direct_link_faster_than_the_helper_link():
+    # acceptance instance #23: r0(P_u_max) > r01(P_u_max), so the AP hears
+    # the user better than the helper does. A relay flow balance written
+    # as an equality forced tau2 = tau3 = 0 there and gave 25.1k bits
+    p = _acceptance_instance(23)
+    assert r0(p.P_u_max, p) > r01(p.P_u_max, p)
+    assert lmax_partial(p) == pytest.approx(138128.637832, rel=1e-9)
+    assert lmax_partial(p) == pytest.approx(_lmax_highs(p), rel=1e-9)
+
+
+def test_lmax_matches_highs(rng):
+    for p in [desk_params(), _acceptance_instance(39)] + [
+            random_params(rng) for _ in range(20)]:
+        assert lmax_partial(p) == pytest.approx(_lmax_highs(p), rel=1e-9)
 
 
 def test_solve_p1_zero_task():
@@ -261,3 +299,57 @@ def test_solve_restricted_comm_partial_structure():
     a = rep.allocation
     assert a.tau1 == 0.0
     assert a.l_h == 0.0
+
+
+def _count_runs(monkeypatch):
+    """Record the result of every ellipsoid run from here on."""
+    runs = []
+    real = coopmec.p1.ell.ellipsoid_run
+
+    def run(*args, **kwargs):
+        res = real(*args, **kwargs)
+        runs.append(res)
+        return res
+
+    monkeypatch.setattr(coopmec.p1.ell, "ellipsoid_run", run)
+    return runs
+
+
+@pytest.mark.parametrize("rest,label,frac,desk", [
+    (FULL, "joint-partial", 0.5, {}),
+    (Restriction(relay_path=False, l_a_pinned=0.0), "comp-partial", 0.5, {}),
+    (Restriction(helper_path=False), "comm-partial", 0.5, {}),
+    # at capacity: runs to MAX_ITER without a certified checkpoint
+    (Restriction(helper_path=False), "comm-partial", 1.0, {"D": 240.0}),
+])
+def test_one_ellipsoid_run_per_solve(monkeypatch, rest, label, frac, desk):
+    p = desk_params(T=0.05, **desk)
+    p = replace(p, L=frac * _scheme_capacity(p, label))
+    runs = _count_runs(monkeypatch)
+    rep = solve_restricted(p, rest, label)
+    assert rep.ok
+    assert len(runs) == 1
+    assert rep.iterations == runs[0].iterations <= MAX_ITER
+
+
+def test_uncertified_run_ends_at_the_cap_with_the_best_point(monkeypatch):
+    # no allocation passes the KKT bound, so no checkpoint certifies: the
+    # run goes to the cap, and the answer is the recovery at its best point
+    monkeypatch.setattr(coopmec.p1, "MAX_ITER", 1000)
+    monkeypatch.setattr(coopmec.p1, "max_kkt_residual", lambda a, d, p: np.inf)
+    recoveries = []
+    real = coopmec.p1.recover_primal
+    monkeypatch.setattr(coopmec.p1, "recover_primal",
+                        lambda d, p, rest: recoveries.append(d) or real(d, p, rest))
+    runs = _count_runs(monkeypatch)
+    p = desk_params(T=0.1)
+    rep = solve_restricted(p, FULL, "joint-partial")
+
+    assert len(runs) == 1 and len(recoveries) > 1  # checkpoints recovered
+    res = runs[0]
+    assert res.iterations == 1000 and not res.converged
+    assert rep.status == STATUS_NONCONVERGED and rep.iterations == 1000
+    assert rep.dual == FULL.expand(res.best_point) == recoveries[-1]
+    alloc = recover_primal(rep.dual, p)
+    assert rep.energy == total_energy(alloc, p)
+    assert rep.duality_gap <= GAP_TOL  # certified but for the KKT bound
