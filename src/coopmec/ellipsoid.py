@@ -31,8 +31,12 @@ sqrt(g' A g) / |best value| first drops below a new decade (1e-3, then
 1e-4, and so on), checkpoint(center, best_point, best_value) is called
 once, and a True return ends the run as converged. The center is the
 point that just took the objective cut, so it passed the oracle's
-feasibility checks. Without a checkpoint the run does the same float
-operations.
+feasibility checks. When the shape matrix breaks down (g' A g not
+positive, or not finite), the run restarts around the best point, which
+leaves the gap bound too wide for any later decade; so before each
+restart the checkpoint is also called, as checkpoint(best_point,
+best_point, best_value), and a True return again ends the run. Without
+a checkpoint the run does the same float operations.
 """
 
 from __future__ import annotations
@@ -88,7 +92,8 @@ def ellipsoid_run(
     checkpoint (called as the module docstring describes) returns True or
     a zero supergradient shows the center is a maximizer; either ends it
     with converged=True. Numerical loss of positive definiteness restarts
-    the search around the best point with doubled radius.
+    the search around the best point with doubled radius; the checkpoint
+    gets that point first, and a True return ends the run there.
     """
     center = np.asarray(init_center, dtype=float).copy()
     n = center.size
@@ -134,14 +139,11 @@ def ellipsoid_run(
                 if checkpoint(center, best_point, best_value):
                     converged = True
                     break
-            if not (gAg > 0.0):
-                if np.allclose(g, 0.0):
-                    # zero supergradient: the center is a maximizer
-                    converged = True
-                    gap_bound = 0.0
-                    break
-                center, A, restarts = _restart(best_point, center, radius, restarts)
-                continue
+            if not (gAg > 0.0) and np.allclose(g, 0.0):
+                # zero supergradient: the center is a maximizer
+                converged = True
+                gap_bound = 0.0
+                break
             # keep the halfspace {z : g'(z - center) >= best - value}
             cut, depth = -g, best_value - res.value
         elif res.kind == FEASIBILITY_CUT:
@@ -152,6 +154,12 @@ def ellipsoid_run(
             raise OracleError(f"unknown cut kind {res.kind!r}")
 
         if not (gAg > 0.0 and math.isfinite(gAg)):
+            # the shape broke down: before the restart throws it away, the
+            # checkpoint gets the best point, as the center too
+            if (checkpoint is not None and best_point is not None
+                    and checkpoint(best_point, best_point, best_value)):
+                converged = True
+                break
             center, A, restarts = _restart(best_point, center, radius, restarts)
             continue
         root = math.sqrt(gAg)

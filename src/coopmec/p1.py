@@ -7,7 +7,7 @@ communication-cooperation mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,10 +184,9 @@ def recover_primal(
     frozen powers fall a hair short, once more with a power margin (see
     _lp_allocation). The compute rates M1 and l_u come out of square
     roots and wobble hard where a route is only marginally profitable, so
-    the LP solution competes against two snap candidates (helper route
-    dropped, through the same LP; everything local, with no LP) and the
-    cheapest feasible allocation wins. A call makes at most four LP
-    solves.
+    the LP allocation competes against one snap candidate (everything
+    local, with no LP) and the cheaper feasible allocation wins. A call
+    makes at most two LP solves.
     """
     _, sol, _ = eval_dual_restricted(d, p, rest)
     candidates: list[Allocation] = []
@@ -195,11 +194,6 @@ def recover_primal(
         candidates.append(_lp_allocation(sol, p, rest))
     except RecoveryError:
         pass
-    if rest.helper_path and sol.M1 > 0.0:
-        try:
-            candidates.append(_lp_allocation(replace(sol, M1=0.0), p, rest))
-        except RecoveryError:
-            pass
     if (
         rest.partition_active
         and rest.l_a_pinned in (None, 0.0)
@@ -210,7 +204,7 @@ def recover_primal(
     if not feasible:
         raise RecoveryError("no recovery candidate is feasible")
     # the plain LP allocation is KKT-consistent with d by construction, so
-    # it wins unless a snap candidate is better by more than noise
+    # it wins unless the local snap is better by more than noise
     best = feasible[0]
     best_e = total_energy(best, p)
     for cand in feasible[1:]:
@@ -346,10 +340,13 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
     is recovered at the ellipsoid's center, then at the best dual point,
     and the run ends once an allocation has a duality gap within GAP_TOL
     (against the best dual value), is feasible and has a KKT residual
-    within CHECKPOINT_KKT_TOL. An instance that never certifies runs to
-    MAX_ITER and is recovered once at the best dual point; that report is
-    `optimal` only under the same certificate, and `nonconverged`
-    otherwise.
+    within CHECKPOINT_KKT_TOL. Each breakdown of the ellipsoid (near
+    capacity, where Slater's condition fails) triggers the same check at
+    the best dual point before the restart. A point the previous check
+    rejected is not recovered again. An instance that never certifies
+    runs to MAX_ITER and is recovered once at the best dual point; that
+    report is `optimal` only under the same certificate, and
+    `nonconverged` otherwise.
     """
     if p.L == 0.0 and rest.l_a_pinned in (None, 0.0):
         a = Allocation.zero(p)
@@ -382,20 +379,22 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
         )
 
     certified: list[SolveReport] = []
-    rejected = [None]  # the best point the previous call rejected
+    rejected: list[np.ndarray] = []  # the points the previous call was given
 
     def checkpoint(center: np.ndarray, point: np.ndarray, value: float) -> bool:
         # the ascent hands over the same best point until it finds a
-        # better value; a recovery already rejected is not repeated
-        points = [center]
-        if not (np.array_equal(point, center) or np.array_equal(point, rejected[0])):
-            points.append(point)
+        # better value, and a breakdown hands it over as the center too;
+        # a recovery already rejected is not repeated
+        points = []
+        for x in (center, point):
+            if not any(np.array_equal(x, y) for y in points + rejected):
+                points.append(x)
         for x in points:
             report = report_at(x, value)
             if report is not None and report.ok:
                 certified.append(report)
                 return True
-        rejected[0] = point
+        rejected[:] = [center, point]
         return False
 
     scales = _dual_scales(p, rest)

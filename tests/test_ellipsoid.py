@@ -383,15 +383,88 @@ def test_checkpoint_at_zero_gap_bound_terminates(value):
 
 
 def test_checkpoint_at_zero_best_value_terminates():
-    # a zero value fires no checkpoint while the gap bound is positive; the
-    # repeated cut then flattens the ellipsoid until the bound reaches 0,
-    # which fires the checkpoint once, and the run restarts and goes on
-    calls = []
+    # a zero value fires no decade checkpoint while the gap bound is
+    # positive; the repeated cut then flattens the ellipsoid until the bound
+    # reaches 0, which fires the decade checkpoint once. The shape has
+    # broken down, so the checkpoint gets the best point before the restart,
+    # and again before every later restart; the run goes on to max_iter
+    calls, queried = [], []
 
     def oracle(x):
+        queried.append(x.copy())
         return CutOracleResult(OBJECTIVE_CUT, np.array([1.0, -1.0]), 0.0)
 
+    def checkpoint(center, point, value):
+        calls.append((len(queried), center.copy(), point.copy(), value))
+        return False
+
     res = ellipsoid_run(oracle, np.zeros(2), 1.0, max_iter=100,
-                        checkpoint=lambda c, x, v: calls.append(v) or False)
-    assert calls == [0.0]
+                        checkpoint=checkpoint)
     assert res.iterations == 100 and not res.converged
+    # every value is 0.0, so the start stays the best point, and a restart
+    # re-queries it
+    restarts = [k for k, x in enumerate(queried) if k > 0 and not x.any()]
+    assert len(restarts) >= 2
+    assert [v for _, _, _, v in calls] == [0.0] * (1 + len(restarts))
+    assert calls[0][0] == calls[1][0] and calls[0][1].any()
+    for (k, center, point, _), r in zip(calls[1:], restarts):
+        assert k == r and not center.any() and not point.any()
+
+
+def breakdown_oracle(queried, every):
+    """The bowl problem, except that every `every`-th query answers with a
+    feasibility cut so small that g'Ag underflows to 0: a numerical
+    breakdown."""
+    def oracle(x):
+        queried.append(x.copy())
+        if len(queried) % every == 0:
+            return CutOracleResult(FEASIBILITY_CUT, np.array([1e-300, 1e-300]))
+        return bowl_oracle(x)
+    return oracle
+
+
+def test_checkpoint_receives_the_best_point_before_each_restart():
+    queried, calls = [], []
+
+    def checkpoint(center, point, value):
+        calls.append((len(queried), center.copy(), point.copy(), value))
+        return False
+
+    res = ellipsoid_run(breakdown_oracle(queried, 25), np.zeros(2), 4.0,
+                        max_iter=200, checkpoint=checkpoint)
+    assert res.iterations == 200 and not res.converged
+    restart_calls = [c for c in calls if c[0] % 25 == 0]
+    assert len(restart_calls) == 200 // 25
+    for k, center, point, value in restart_calls:
+        # the best point and value of the queries before the breakdown
+        values = [bowl_oracle(x).value if (j + 1) % 25 else -np.inf
+                  for j, x in enumerate(queried[:k])]
+        best = int(np.argmax(values))
+        assert np.array_equal(center, point)
+        assert np.array_equal(point, queried[best]) and value == values[best]
+        # the restart re-centers on that point
+        if k < len(queried):
+            assert np.array_equal(queried[k], point)
+
+
+def test_breakdown_before_any_objective_cut_calls_no_checkpoint():
+    calls = []
+    res = ellipsoid_run(breakdown_oracle([], 1), np.zeros(2), 1.0, max_iter=5,
+                        checkpoint=lambda c, x, v: calls.append(v) or True)
+    assert calls == [] and res.best_point is None and not res.converged
+
+
+def test_checkpoint_true_at_a_breakdown_stops_the_run():
+    queried, given = [], []
+
+    def checkpoint(center, point, value):
+        given.append((len(queried), point.copy(), value))
+        # accept only at the second breakdown
+        return len(queried) == 50
+
+    res = ellipsoid_run(breakdown_oracle(queried, 25), np.zeros(2), 4.0,
+                        max_iter=500, checkpoint=checkpoint)
+    assert res.converged and res.iterations == 50 == len(queried)
+    assert given[-1][0] == 50
+    assert np.array_equal(res.best_point, given[-1][1])
+    assert res.best_value == given[-1][2]

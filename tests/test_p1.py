@@ -142,9 +142,9 @@ def test_recover_primal_strong_duality(p_default):
     assert energy == pytest.approx(rep.energy, rel=1e-6)
 
 
-def test_recover_primal_solves_at_most_four_lps(rng, monkeypatch):
-    # one recovery LP per candidate (LP point, helper-drop snap), each
-    # with at most one fallback solve at the power caps
+def test_recover_primal_solves_at_most_two_lps(rng, monkeypatch):
+    # one recovery LP, with at most one fallback solve at the power caps;
+    # the local snap, the only other candidate, needs no LP
     real = coopmec.p1.lp_solve
     calls = []
     monkeypatch.setattr(coopmec.p1, "lp_solve",
@@ -154,7 +154,7 @@ def test_recover_primal_solves_at_most_four_lps(rng, monkeypatch):
         assert rep.ok
         calls.clear()
         recover_primal(rep.dual, p)
-        assert 1 <= len(calls) <= 4
+        assert 1 <= len(calls) <= 2
 
 
 def test_recover_primal_local_pricing_only():
@@ -229,16 +229,20 @@ def _scheme_capacity(p, scheme: str) -> float:
             "comm-binary": cap.l_a_max}[scheme]
 
 
+def _assert_certified(rep, p):
+    assert rep.ok
+    assert rep.duality_gap <= GAP_TOL
+    assert max_kkt_residual(rep.allocation, rep.dual, p) <= 1e-6
+    assert check_feasible(rep.allocation, p).feasible(1e-9)
+
+
 def _certified_at_fraction(scheme: str, frac: float, **desk):
     """Solve `scheme` at `frac` of its capacity on a T = 50 ms desk
     instance and check the full certificate."""
     p = desk_params(T=0.05, **desk)
     p = replace(p, L=frac * _scheme_capacity(p, scheme))
     rep = run_benchmark(scheme, p)
-    assert rep.ok
-    assert rep.duality_gap <= GAP_TOL
-    assert max_kkt_residual(rep.allocation, rep.dual, p) <= 1e-6
-    assert check_feasible(rep.allocation, p).feasible(1e-9)
+    _assert_certified(rep, p)
     return p, rep
 
 
@@ -269,6 +273,77 @@ def test_comm_binary_tiny_task_with_strong_direct_link_is_weakly_dual():
     rest = Restriction(helper_path=False, local_bits=False, l_a_pinned=p.L)
     value, _, _ = eval_dual_restricted(rep.dual, p, rest)
     assert value <= rep.energy * (1.0 + 1e-9)
+
+
+#: the capacity-edge instances (perfbench's templates, T = 50 ms)
+EDGE_TEMPLATES = {
+    "helper-near-user": lambda: desk_params(T=0.05, D=10.0),
+    "helper-near-ap": lambda: desk_params(T=0.05, D=240.0),
+    "direct-link-strong": lambda: desk_params(T=0.05, **_direct_link_strong()),
+    "random": lambda: random_params(np.random.default_rng(7)),
+}
+
+
+@pytest.mark.parametrize("scheme,template", [
+    ("comm-partial", "direct-link-strong"),
+    ("comm-partial", "helper-near-ap"),
+    ("comm-partial", "random"),
+    ("comp-partial", "helper-near-user"),
+    ("comp-partial", "random"),
+    ("joint-partial", "helper-near-ap"),
+    ("joint-partial", "helper-near-user"),
+    ("joint-partial", "random"),
+])
+def test_certifies_at_capacity_before_the_cap(monkeypatch, scheme, template):
+    # at L = capacity the shape matrix loses positive definiteness and the
+    # run restarts; these ran to MAX_ITER while the recovery at the best
+    # point, offered to the checkpoint only after the cap, already
+    # certified. A breakdown offers the best point as the center too, and
+    # no dual point is recovered twice
+    recovered = []
+    real = coopmec.p1.recover_primal
+    monkeypatch.setattr(coopmec.p1, "recover_primal",
+                        lambda d, p, rest: recovered.append(d) or real(d, p, rest))
+    p = EDGE_TEMPLATES[template]()
+    p = replace(p, L=_scheme_capacity(p, scheme))
+    rep = run_benchmark(scheme, p)
+    _assert_certified(rep, p)
+    assert rep.iterations < MAX_ITER
+    assert len(set(recovered)) == len(recovered)
+
+
+#: the fractions of capacity the near-capacity random draws cycle through
+NEAR_CAPACITY_FRACS = (0.99, 0.999, 0.9999, 1.0, 1e-6, 1e-9)
+
+
+def _near_capacity_draw(seed: int, k: int):
+    """Draw k of `random_params(rng, frac=NEAR_CAPACITY_FRACS[k % 6])`."""
+    rng = np.random.default_rng(seed)
+    for j in range(k + 1):
+        p = random_params(rng, frac=NEAR_CAPACITY_FRACS[j % 6])
+    return p
+
+
+def test_joint_partial_certifies_seed_103_draw_13():
+    # L = 0.999 of capacity: the run restarted again and again, and it
+    # ended nonconverged at the cap with no recoverable allocation
+    p = _near_capacity_draw(103, 13)
+    rep = solve_p1(p)
+    _assert_certified(rep, p)
+    assert rep.iterations < MAX_ITER
+    assert rep.energy == pytest.approx(1.2311774782, rel=1e-9)
+
+
+def test_comp_partial_certifies_seed_105_draw_8():
+    # L = 0.9999 of the comp-partial capacity l_u_max + l_h_max: the same
+    # ending, nonconverged at the cap with no recoverable allocation
+    p = _near_capacity_draw(105, 8)
+    cap = lmax_binary(p)
+    p = replace(p, L=0.9999 * (cap.l_u_max + cap.l_h_max))
+    rep = run_benchmark("comp-partial", p)
+    _assert_certified(rep, p)
+    assert rep.iterations < MAX_ITER
+    assert rep.energy == pytest.approx(3.7184001530, rel=1e-9)
 
 
 @pytest.mark.parametrize("rest,label", [
@@ -319,7 +394,7 @@ def _count_runs(monkeypatch):
     (FULL, "joint-partial", 0.5, {}),
     (Restriction(relay_path=False, l_a_pinned=0.0), "comp-partial", 0.5, {}),
     (Restriction(helper_path=False), "comm-partial", 0.5, {}),
-    # at capacity: runs to MAX_ITER without a certified checkpoint
+    # at capacity: the shape matrix breaks down and the run restarts
     (Restriction(helper_path=False), "comm-partial", 1.0, {"D": 240.0}),
 ])
 def test_one_ellipsoid_run_per_solve(monkeypatch, rest, label, frac, desk):
@@ -329,7 +404,7 @@ def test_one_ellipsoid_run_per_solve(monkeypatch, rest, label, frac, desk):
     rep = solve_restricted(p, rest, label)
     assert rep.ok
     assert len(runs) == 1
-    assert rep.iterations == runs[0].iterations <= MAX_ITER
+    assert rep.iterations == runs[0].iterations < MAX_ITER
 
 
 def test_uncertified_run_ends_at_the_cap_with_the_best_point(monkeypatch):
