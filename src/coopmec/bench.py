@@ -16,7 +16,7 @@ from __future__ import annotations
 from .dual import Restriction
 from .model import SystemParams
 from .p1 import STATUS_INFEASIBLE, SolveReport, solve_p1, solve_restricted
-from .p2 import lmax_binary, mode_comp_coop, mode_comm_coop, mode_local, solve_p2
+from .p2 import _l_h_max, lmax_binary, mode_comm_coop, mode_comp_coop, mode_local, solve_p2
 
 SCHEME_LABELS = (
     "local",
@@ -32,26 +32,23 @@ COMP_PARTIAL = Restriction(relay_path=False, l_a_pinned=0.0)
 COMM_PARTIAL = Restriction(helper_path=False)
 
 
-def _comp_partial(p: SystemParams) -> SolveReport:
-    cap = lmax_binary(p)
-    l_max = cap.l_u_max + cap.l_h_max
+def _partial(p: SystemParams, rest: Restriction, label: str, l_max: float) -> SolveReport:
+    """Solve a partial scheme under `rest`, or report it infeasible above `l_max`."""
     if p.L > l_max * (1.0 + 1e-12):
-        return SolveReport(status=STATUS_INFEASIBLE, l_max=l_max,
-                           mode_label="comp-partial")
-    report = solve_restricted(p, COMP_PARTIAL, "comp-partial")
+        return SolveReport(status=STATUS_INFEASIBLE, l_max=l_max, mode_label=label)
+    report = solve_restricted(p, rest, label)
     report.l_max = l_max
     return report
+
+
+def _comp_partial(p: SystemParams) -> SolveReport:
+    l_max = p.T * p.f_u_max / p.c_u + _l_h_max(p)
+    return _partial(p, COMP_PARTIAL, "comp-partial", l_max)
 
 
 def _comm_partial(p: SystemParams) -> SolveReport:
     cap = lmax_binary(p)
-    l_max = cap.l_u_max + cap.l_a_max
-    if p.L > l_max * (1.0 + 1e-12):
-        return SolveReport(status=STATUS_INFEASIBLE, l_max=l_max,
-                           mode_label="comm-partial")
-    report = solve_restricted(p, COMM_PARTIAL, "comm-partial")
-    report.l_max = l_max
-    return report
+    return _partial(p, COMM_PARTIAL, "comm-partial", cap.l_u_max + cap.l_a_max)
 
 
 _DISPATCH = {

@@ -51,7 +51,7 @@ MAX_ITER = 5000
 
 
 class RecoveryError(RuntimeError):
-    """Primal recovery LP stayed infeasible through all relaxations."""
+    """The recovery LP yields no feasible allocation at the dual point."""
 
 
 @dataclass
@@ -179,39 +179,16 @@ def recover_primal(
 ) -> Allocation:
     """Rebuild a feasible allocation from a (near-)optimal dual point.
 
-    The closed-form quantities P_i, M1, l_u are frozen at d; the slot
-    durations and l_a come from the recovery LP, solved once and, if the
-    frozen powers fall a hair short, once more with a power margin (see
-    _lp_allocation). The compute rates M1 and l_u come out of square
-    roots and wobble hard where a route is only marginally profitable, so
-    the LP allocation competes against one snap candidate (everything
-    local, with no LP) and the cheaper feasible allocation wins. A call
-    makes at most two LP solves.
+    The closed-form quantities P_i, M1, l_u are frozen at d, and one
+    recovery LP sets the slot durations and l_a (see _recovery_lp). The
+    allocation is returned if it is feasible within half of FEAS_TOL, a
+    margin under the report's own check; otherwise RecoveryError.
     """
     _, sol, _ = eval_dual_restricted(d, p, rest)
-    candidates: list[Allocation] = []
-    try:
-        candidates.append(_lp_allocation(sol, p, rest))
-    except RecoveryError:
-        pass
-    if (
-        rest.partition_active
-        and rest.l_a_pinned in (None, 0.0)
-        and p.L <= p.T * p.f_u_max / p.c_u
-    ):
-        candidates.append(Allocation.build(p, l_u=p.L))
-    feasible = [a for a in candidates if check_feasible(a, p).feasible(FEAS_TOL)]
-    if not feasible:
-        raise RecoveryError("no recovery candidate is feasible")
-    # the plain LP allocation is KKT-consistent with d by construction, so
-    # it wins unless the local snap is better by more than noise
-    best = feasible[0]
-    best_e = total_energy(best, p)
-    for cand in feasible[1:]:
-        e = total_energy(cand, p)
-        if e < best_e * (1.0 - 1e-7):
-            best, best_e = cand, e
-    return best
+    alloc = _recovery_lp(sol, p, rest)
+    if alloc is None or not check_feasible(alloc, p).feasible(0.5 * FEAS_TOL):
+        raise RecoveryError("recovery LP infeasible even at the power caps")
+    return alloc
 
 
 #: the links each transmit slot feeds (tau2 broadcasts to the AP and the helper)
@@ -222,31 +199,16 @@ _SLOT_LINKS = {
 }
 
 
-def _lp_allocation(sol, p: SystemParams, rest: Restriction) -> Allocation:
-    """The recovery LP: slots and l_a with the closed-form values frozen.
+def _recovery_lp(sol, p: SystemParams, rest: Restriction) -> Allocation | None:
+    """The recovery LP over the slot columns and l_a; None if infeasible.
 
-    The first solve keeps the closed-form powers. At finite dual accuracy
-    they can leave the LP a hair short of feasible; the one fallback
-    solve then gives every slot in use a second column at its power cap,
-    so the LP itself prices the margin that restores feasibility and
-    buys the cheapest one, with no search over margins.
-    """
-    for at_cap in (False, True):
-        alloc = _recovery_lp(sol, p, rest, at_cap)
-        if alloc is not None and check_feasible(alloc, p).feasible(0.5 * FEAS_TOL):
-            return alloc
-    raise RecoveryError("recovery LP infeasible even at the power caps")
-
-
-def _recovery_lp(
-    sol, p: SystemParams, rest: Restriction, at_cap: bool
-) -> Allocation | None:
-    """One solve over the slot columns and l_a; None if infeasible.
-
-    With `at_cap`, a slot's two columns merge into one slot at the least
-    power that carries the bits of both. The rate is concave in power, so
-    that power is at most their mean E/tau and the merged energy is at
-    most what the LP paid.
+    Each open slot has a column at its closed-form power and one at its
+    power cap. At finite dual accuracy the closed-form powers can leave
+    the LP a hair short of feasible; the cap columns price that margin,
+    and the LP buys the cheapest one. A slot's two columns merge into one
+    slot at the least power that carries the bits of both: the rate is
+    concave in power, so that power is at most their mean E/tau and the
+    merged energy is at most what the LP paid.
     """
     ca_f = p.c_a / p.f_a_max
     l_u_eff = min(sol.l_u, p.L)  # the subproblem box does not know L
@@ -256,11 +218,10 @@ def _recovery_lp(
     frozen = {"tau1": sol.P1, "tau2": sol.P2, "tau3": sol.P3}
     cap = {"tau1": p.P_u_max, "tau2": p.P_u_max, "tau3": p.P_h_max}
     open_slots = ["tau1"] * rest.helper_path + ["tau2", "tau3"] * rest.relay_path
+    # a slot the dual priced off (P = 0) stays shut: opening it at the cap
+    # leaves a sliver of bits on a route the optimum avoids
     cols = [(s, frozen[s]) for s in open_slots]
-    if at_cap:
-        # a slot the dual priced off (P = 0) stays shut: opening it at
-        # the cap leaves a sliver of bits on a route the optimum avoids
-        cols += [(s, cap[s]) for s in open_slots if frozen[s] > 0.0]
+    cols += [(s, cap[s]) for s in open_slots if frozen[s] > 0.0]
     n = len(cols) + la_free
 
     def row(slot_coef, l_a: float = 0.0) -> np.ndarray:
@@ -435,8 +396,7 @@ def _polish_inactive_routes(report: SolveReport, p: SystemParams) -> SolveReport
     When the recovered optimum leaves exactly one of the AP/helper routes
     idle, the same dual machinery on the smaller, better-conditioned
     problem closes the last fraction of the gap; the full-problem dual
-    bound keeps certifying the result. With both routes idle the local
-    snap inside the recovery is already exact, and nothing beats it.
+    bound keeps certifying the result.
     """
     if report.duality_gap <= 1e-10:
         return report

@@ -49,19 +49,22 @@ def lmax_binary(p: SystemParams) -> BinaryCapacity:
     slots and the AP execution slot.
     """
     l_u_max = p.T * p.f_u_max / p.c_u
-
-    r01m = r01(p.P_u_max, p)
-    if r01m > 0.0:
-        tau1_b = p.T * p.f_h_max / (p.c_h * r01m + p.f_h_max)
-        l_h_max = tau1_b * r01m
-    else:
-        l_h_max = 0.0
-
+    l_h_max = _l_h_max(p)
     l_a_max = _lmax_comm(p)
     return BinaryCapacity(
         l_u_max=l_u_max, l_h_max=l_h_max, l_a_max=l_a_max,
         L_max2=max(l_u_max, l_h_max, l_a_max),
     )
+
+
+def _l_h_max(p: SystemParams) -> float:
+    """Helper capacity: what the user offloads at full power in the slot
+    tau1_b after which the helper, at full frequency, computes it by T."""
+    r01m = r01(p.P_u_max, p)
+    if r01m <= 0.0:
+        return 0.0
+    tau1_b = p.T * p.f_h_max / (p.c_h * r01m + p.f_h_max)
+    return tau1_b * r01m
 
 
 def _lmax_comm(p: SystemParams) -> float:
@@ -118,7 +121,7 @@ def mode_comp_coop(p: SystemParams) -> SolveReport:
     convex function of the offload slot tau1; its minimizer is found by
     bisection on the derivative over [L/r01(P_u_max), T - c_h L/f_h_max].
     """
-    cap = lmax_binary(p).l_h_max
+    cap = _l_h_max(p)
     if p.L > cap * (1.0 + 1e-12):
         return SolveReport(status=STATUS_INFEASIBLE, l_max=cap, mode_label=MODE_COMP)
     if p.L == 0.0:

@@ -5,7 +5,7 @@ import pytest
 
 import coopmec.p1
 from coopmec.bench import run_benchmark
-from coopmec.dual import FULL, Restriction, eval_dual_restricted
+from coopmec.dual import FULL, DualPoint, Restriction, eval_dual_restricted
 from coopmec.model import check_feasible, r0, r01, r1, total_energy
 from coopmec.oracle import max_kkt_residual, oracle_p11
 from coopmec.p1 import (
@@ -14,6 +14,7 @@ from coopmec.p1 import (
     STATUS_INFEASIBLE,
     STATUS_NONCONVERGED,
     STATUS_OPTIMAL,
+    RecoveryError,
     lmax_partial,
     recover_primal,
     solve_p1,
@@ -142,9 +143,8 @@ def test_recover_primal_strong_duality(p_default):
     assert energy == pytest.approx(rep.energy, rel=1e-6)
 
 
-def test_recover_primal_solves_at_most_two_lps(rng, monkeypatch):
-    # one recovery LP, with at most one fallback solve at the power caps;
-    # the local snap, the only other candidate, needs no LP
+def test_recover_primal_solves_one_lp(rng, monkeypatch):
+    # the recovery is one LP, cap columns included, and no other candidate
     real = coopmec.p1.lp_solve
     calls = []
     monkeypatch.setattr(coopmec.p1, "lp_solve",
@@ -154,15 +154,34 @@ def test_recover_primal_solves_at_most_two_lps(rng, monkeypatch):
         assert rep.ok
         calls.clear()
         recover_primal(rep.dual, p)
-        assert 1 <= len(calls) <= 2
+        assert len(calls) == 1
+
+
+def test_recover_primal_raises_when_no_allocation_is_feasible():
+    # L is above the local capacity (1e5 bits), and zero prices open no
+    # slot, so the recovery LP has nothing to carry the surplus with
+    p = desk_params(T=0.05, L=1.5e5)
+    assert p.L > p.T * p.f_u_max / p.c_u
+    with pytest.raises(RecoveryError):
+        recover_primal(DualPoint(0, 0, 0, 0, 0), p)
+
+
+@pytest.mark.parametrize("scheme", ["comp-partial", "joint-partial"])
+def test_partial_schemes_beat_all_local_at_T_100ms(scheme):
+    # the helper takes a few bits for less than all-local computing costs;
+    # a competing all-local candidate in the recovery once won here with a
+    # duality gap of about 3e-6
+    p = desk_params(T=0.1)
+    rep = run_benchmark(scheme, p)
+    _assert_certified(rep, p)
+    all_local = p.kappa_u * p.c_u**3 * p.L**3 / p.T**2
+    assert rep.energy < all_local * (1.0 - 1e-6)
 
 
 def test_recover_primal_local_pricing_only():
     # prices reward nothing but local computing: all bits stay at the user
     p = desk_params(T=0.1, L=2e4)
     mu2 = 3 * p.kappa_u * p.c_u**3 * (p.L / p.T) ** 2
-    from coopmec.dual import DualPoint
-
     d = DualPoint(lam1=mu2, lam2=mu2, lam3=0.0, mu1=0.0, mu2=mu2)
     alloc = recover_primal(d, p)
     assert alloc.l_u == pytest.approx(p.L, rel=1e-9)
