@@ -9,6 +9,8 @@ from .model import (
     check_feasible,
     db_to_linear,
     dbm_to_watts,
+    lmax_binary,
+    lmax_partial,
     local_compute_energy,
     pathloss,
     rate,
@@ -17,8 +19,8 @@ from .model import (
 from .lp import LpProblem, LpSolution, lp_solve
 from .dual import DualPoint, Restriction, SubproblemSolution
 from .ellipsoid import CutOracleResult, ellipsoid_run
-from .p1 import SolveReport, lmax_partial, recover_primal, solve_p1
-from .p2 import lmax_binary, mode_comm_coop, mode_comp_coop, mode_local, solve_p2
+from .p1 import SolveReport, recover_primal, solve_p1
+from .p2 import mode_comm_coop, mode_comp_coop, mode_local, solve_p2
 from .bench import SCHEME_LABELS, run_benchmark
 from .oracle import kkt_residuals, oracle_comm_coop, oracle_p11
 from .scenario import Scenario, ScenarioError, load_scenario

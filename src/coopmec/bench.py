@@ -14,9 +14,9 @@ Stable CLI labels, in reporting order:
 from __future__ import annotations
 
 from .dual import Restriction
-from .model import SystemParams
-from .p1 import STATUS_INFEASIBLE, SolveReport, solve_p1, solve_restricted
-from .p2 import _l_h_max, lmax_binary, mode_comm_coop, mode_comp_coop, mode_local, solve_p2
+from .model import SystemParams, l_a_max, l_h_max, l_u_max
+from .p1 import SolveReport, solve_p1, solve_restricted, within_capacity
+from .p2 import mode_comm_coop, mode_comp_coop, mode_local, solve_p2
 
 SCHEME_LABELS = (
     "local",
@@ -32,23 +32,14 @@ COMP_PARTIAL = Restriction(relay_path=False, l_a_pinned=0.0)
 COMM_PARTIAL = Restriction(helper_path=False)
 
 
-def _partial(p: SystemParams, rest: Restriction, label: str, l_max: float) -> SolveReport:
-    """Solve a partial scheme under `rest`, or report it infeasible above `l_max`."""
-    if p.L > l_max * (1.0 + 1e-12):
-        return SolveReport(status=STATUS_INFEASIBLE, l_max=l_max, mode_label=label)
-    report = solve_restricted(p, rest, label)
-    report.l_max = l_max
-    return report
-
-
+@within_capacity(lambda p: l_u_max(p) + l_h_max(p), "comp-partial")
 def _comp_partial(p: SystemParams) -> SolveReport:
-    l_max = p.T * p.f_u_max / p.c_u + _l_h_max(p)
-    return _partial(p, COMP_PARTIAL, "comp-partial", l_max)
+    return solve_restricted(p, COMP_PARTIAL, "comp-partial")
 
 
+@within_capacity(lambda p: l_u_max(p) + l_a_max(p), "comm-partial")
 def _comm_partial(p: SystemParams) -> SolveReport:
-    cap = lmax_binary(p)
-    return _partial(p, COMM_PARTIAL, "comm-partial", cap.l_u_max + cap.l_a_max)
+    return solve_restricted(p, COMM_PARTIAL, "comm-partial")
 
 
 _DISPATCH = {

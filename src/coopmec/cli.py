@@ -13,16 +13,9 @@ import sys
 from .bench import SCHEME_LABELS, run_benchmark
 from .dual import DualInfeasibleError
 from .ellipsoid import OracleError
-from .model import InfeasibleWindowError
+from .model import InfeasibleWindowError, fits, lmax_binary, lmax_partial
 from .oracle import oracle_p11
-from .p1 import (
-    STATUS_INFEASIBLE,
-    STATUS_NONCONVERGED,
-    RecoveryError,
-    SolveReport,
-    lmax_partial,
-)
-from .p2 import lmax_binary
+from .p1 import STATUS_INFEASIBLE, STATUS_NONCONVERGED, RecoveryError, SolveReport
 from .scenario import Scenario, ScenarioError, load_scenario
 
 CSV_COLUMNS = (
@@ -126,9 +119,10 @@ def _cmd_feascheck(args) -> int:
     print(f"L_max_partial: {_fmt(l1)} bits")
     print(f"L_max_binary:  {_fmt(cap.L_max2)} bits "
           f"(local={_fmt(cap.l_u_max)} helper={_fmt(cap.l_h_max)} ap={_fmt(cap.l_a_max)})")
-    print(f"partial_feasible: {p.L <= l1}")
-    print(f"binary_feasible:  {p.L <= cap.L_max2}")
-    return EXIT_OK if p.L <= l1 else EXIT_INFEASIBLE
+    partial = fits(p.L, l1)
+    print(f"partial_feasible: {partial}")
+    print(f"binary_feasible:  {fits(p.L, cap.L_max2)}")
+    return EXIT_OK if partial else EXIT_INFEASIBLE
 
 
 def _cmd_verify(args) -> int:

@@ -1,10 +1,11 @@
 """Small dense linear-program solver (two-phase simplex, Bland's rule).
 
-Sized for the handful of tiny LPs this package needs (capacity checks and
-primal recovery, all under ~10 variables). Bland's rule trades speed for
-guaranteed termination, and every row of the constraint system is scaled
-to unit max-norm first because the raw coefficients span ~30 orders of
-magnitude (capacitance constants vs CPU frequencies).
+Sized for the package's one LP, primal recovery's (under ~10 variables;
+the capacities have closed forms in coopmec.model). Bland's rule trades
+speed for guaranteed termination, and every row of the constraint system
+is scaled to unit max-norm first because the raw coefficients span ~30
+orders of magnitude (capacitance constants vs CPU frequencies). Equality
+rows and free columns serve the tests' general LPs.
 
 At this size numpy's per-call overhead outweighs its arithmetic, so the
 tableau is a list of Python float rows; each entry goes through the same

@@ -174,6 +174,79 @@ def r1(P: float, p: SystemParams) -> float:
     return _hop_rate(P, p.g1, p)
 
 
+# -- computation capacities -------------------------------------------------
+# At capacity every transmitter runs at its power cap, so the rate rows are
+# linear in the slots, and each capacity LP has a closed form.
+
+
+def fits(L: float, capacity: float) -> bool:
+    """Whether L bits fit in `capacity`, allowing 1e-12 relative above it
+    for the rounding of a task set to the capacity."""
+    return L <= capacity * (1.0 + 1e-12)
+
+
+def l_u_max(p: SystemParams) -> float:
+    return p.T * p.f_u_max / p.c_u
+
+
+def _tau1_b(p: SystemParams) -> float:
+    return p.T * p.f_h_max / (p.c_h * r01(p.P_u_max, p) + p.f_h_max)
+
+
+def l_h_max(p: SystemParams) -> float:
+    return _tau1_b(p) * r01(p.P_u_max, p)
+
+
+def _ap_rate(p: SystemParams) -> float:
+    # rho_a: AP bits per second of the time the relay and the AP CPU share
+    a, b, c = r01(p.P_u_max, p), r0(p.P_u_max, p), r1(p.P_h_max, p)
+    k = p.c_a / p.f_a_max
+    if a <= b:
+        return a / (1.0 + k * a)
+    relay = a / (1.0 + (a - b) / c + k * a) if c > 0.0 else 0.0
+    return max(b / (1.0 + k * b), relay)
+
+
+def l_a_max(p: SystemParams) -> float:
+    return p.T * _ap_rate(p)
+
+
+@dataclass(frozen=True)
+class BinaryCapacity:
+    l_u_max: float
+    l_h_max: float
+    l_a_max: float
+    L_max2: float
+
+
+def lmax_binary(p: SystemParams) -> BinaryCapacity:
+    """Largest supportable task per binary mode, and their maximum.
+
+    Local: l_u_max = T f_u_max/c_u. Helper: l_h_max = tau1_b r01(P_u_max),
+    where tau1_b = T f_h_max/(c_h r01(P_u_max) + f_h_max) is the offload
+    slot after which the helper, at its cap, computes the bits by T.
+    AP: l_a_max = T rho_a. With a = r01(P_u_max), b = r0(P_u_max),
+    c = r1(P_h_max) and k = c_a/f_a_max, the helper decodes every AP bit
+    in tau2, so rho_a = a/(1 + k a) if a <= b. Otherwise rho_a is the
+    better of the direct link alone, b/(1 + k b), and the relay with both
+    decode-and-forward rows tight, a/(1 + (a - b)/c + k a).
+    """
+    cap = (l_u_max(p), l_h_max(p), l_a_max(p))
+    return BinaryCapacity(*cap, L_max2=max(cap))
+
+
+def lmax_partial(p: SystemParams) -> float:
+    """Computation capacity under partial offloading (bits per block).
+
+    With both CPUs at their caps and AP bits at rho_a (see lmax_binary)
+    over the time after the offload slot tau1, the capacity is
+    l_u_max + min(tau1 r01, (T - tau1) f_h_max/c_h) + (T - tau1) rho_a.
+    Its slope in tau1 is r01(P_u_max) - rho_a > 0 below tau1_b and
+    negative above, so tau1 = tau1_b: l_u_max + l_h_max + (T - tau1_b) rho_a.
+    """
+    return l_u_max(p) + l_h_max(p) + (p.T - _tau1_b(p)) * _ap_rate(p)
+
+
 def local_compute_energy(l: float, window: float, kappa: float, c: float) -> float:
     """Energy in joules to compute l bits in `window` seconds.
 

@@ -7,6 +7,7 @@ communication-cooperation mode.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,9 @@ from .model import (
     ConstraintReport,
     SystemParams,
     check_feasible,
+    fits,
     inv_rate_power,
+    lmax_partial,
     r0,
     r01,
     r1,
@@ -73,43 +76,22 @@ class SolveReport:
         return self.status == STATUS_OPTIMAL
 
 
-def lmax_partial(p: SystemParams) -> float:
-    """Computation capacity under partial offloading (bits per block).
-
-    LP over (tau1..tau3, l_u, l_h, l_a) with every resource saturated:
-    transmit powers at their caps, both CPUs pinned at full frequency and
-    the block fully used. The AP bits are capped by both decode-and-forward
-    rates: what the helper decodes in tau2, and what the AP collects over
-    the direct link in tau2 plus the forward slot tau3. Returns 0 if the
-    LP has no feasible point.
-    """
-    r01m = r01(p.P_u_max, p)
-    r0m = r0(p.P_u_max, p)
-    r1m = r1(p.P_h_max, p)
-    ca_f = p.c_a / p.f_a_max
-    # vars: tau1, tau2, tau3, l_u, l_h, l_a
-    A_eq = [
-        [1.0, 1.0, 1.0, 0.0, 0.0, ca_f],               # block fully used
-        [0.0, 0.0, 0.0, p.c_u / p.T, 0.0, 0.0],        # user CPU at f_u_max
-        [p.f_h_max, 0.0, 0.0, 0.0, p.c_h, 0.0],        # helper CPU at f_h_max
-    ]
-    b_eq = [p.T, p.f_u_max, p.T * p.f_h_max]
-    A_ub = [
-        [-r01m, 0.0, 0.0, 0.0, 1.0, 0.0],              # l_h <= tau1 r01
-        [0.0, -r01m, 0.0, 0.0, 0.0, 1.0],              # l_a <= tau2 r01
-        [0.0, -r0m, -r1m, 0.0, 0.0, 1.0],              # l_a <= tau2 r0 + tau3 r1
-    ]
-    b_ub = [0.0, 0.0, 0.0]
-    sol = lp_solve(LpProblem(
-        c=np.array([0.0, 0.0, 0.0, -1.0, -1.0, -1.0]),
-        A_ub=np.array(A_ub), b_ub=np.array(b_ub),
-        A_eq=np.array(A_eq), b_eq=np.array(b_eq),
-        lb=np.zeros(6),
-        ub=np.array([p.T, p.T, p.T, np.inf, np.inf, np.inf]),
-    ))
-    if sol.status != OPTIMAL:
-        return 0.0
-    return float(-sol.objective)
+def within_capacity(capacity, label: str):
+    """Decorate the solver of one scheme with its capacity check: the
+    solver runs only when the task fits in `capacity(p)` (model.fits),
+    and otherwise the report is infeasible. Either way it carries l_max."""
+    def decorate(solve):
+        @functools.wraps(solve)
+        def solve_within(p: SystemParams) -> SolveReport:
+            l_max = capacity(p)
+            if fits(p.L, l_max):
+                report = solve(p)
+            else:
+                report = SolveReport(status=STATUS_INFEASIBLE, mode_label=label)
+            report.l_max = l_max
+            return report
+        return solve_within
+    return decorate
 
 
 def _dual_scales(p: SystemParams, rest: Restriction) -> np.ndarray:
@@ -436,6 +418,7 @@ def _polish_inactive_routes(report: SolveReport, p: SystemParams) -> SolveReport
     )
 
 
+@within_capacity(lmax_partial, "joint-partial")
 def solve_p1(p: SystemParams) -> SolveReport:
     """Optimal joint cooperation with partial offloading.
 
@@ -445,12 +428,7 @@ def solve_p1(p: SystemParams) -> SolveReport:
     Returns an infeasible report (with the capacity attached) when the
     task exceeds what the block can carry.
     """
-    l_max = lmax_partial(p)
-    if p.L > l_max * (1.0 + 1e-12):
-        return SolveReport(status=STATUS_INFEASIBLE, l_max=l_max,
-                           mode_label="joint-partial")
     report = solve_restricted(p, FULL, "joint-partial")
     if report.ok:
         report = _polish_inactive_routes(report, p)
-    report.l_max = l_max
     return report

@@ -10,18 +10,16 @@ and helper blocks pinned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .dual import Restriction
-from .lp import OPTIMAL, LpProblem, lp_solve
-from .model import Allocation, SystemParams, check_feasible, r0, r01, r1
+from .model import Allocation, SystemParams, check_feasible, l_a_max, l_h_max, l_u_max, r01
+from .model import BinaryCapacity, lmax_binary  # noqa: F401 (the capacities' old home)
 from .p1 import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     SolveReport,
     solve_restricted,
+    within_capacity,
 )
 
 MODE_LOCAL = "local"
@@ -33,67 +31,14 @@ MODE_PREFERENCE = (MODE_LOCAL, MODE_COMP, MODE_COMM)
 TIE_REL = 1e-12
 
 
-@dataclass(frozen=True)
-class BinaryCapacity:
-    l_u_max: float
-    l_h_max: float
-    l_a_max: float
-    L_max2: float
-
-
-def lmax_binary(p: SystemParams) -> BinaryCapacity:
-    """Largest supportable task per binary mode, and their maximum.
-
-    Local: CPU cap over the block. Helper: offload slot balanced against
-    the helper compute window (tau1_b). AP: small LP over the two relay
-    slots and the AP execution slot.
-    """
-    l_u_max = p.T * p.f_u_max / p.c_u
-    l_h_max = _l_h_max(p)
-    l_a_max = _lmax_comm(p)
-    return BinaryCapacity(
-        l_u_max=l_u_max, l_h_max=l_h_max, l_a_max=l_a_max,
-        L_max2=max(l_u_max, l_h_max, l_a_max),
-    )
-
-
-def _l_h_max(p: SystemParams) -> float:
-    """Helper capacity: what the user offloads at full power in the slot
-    tau1_b after which the helper, at full frequency, computes it by T."""
-    r01m = r01(p.P_u_max, p)
-    if r01m <= 0.0:
-        return 0.0
-    tau1_b = p.T * p.f_h_max / (p.c_h * r01m + p.f_h_max)
-    return tau1_b * r01m
-
-
-def _lmax_comm(p: SystemParams) -> float:
-    # vars: tau2, tau3, l_a
-    r01m, r0m, r1m = r01(p.P_u_max, p), r0(p.P_u_max, p), r1(p.P_h_max, p)
-    sol = lp_solve(LpProblem(
-        c=np.array([0.0, 0.0, -1.0]),
-        A_ub=np.array([
-            [-r01m, 0.0, 1.0],
-            [-r0m, -r1m, 1.0],
-            [1.0, 1.0, p.c_a / p.f_a_max],
-        ]),
-        b_ub=np.array([0.0, 0.0, p.T]),
-        lb=np.zeros(3),
-        ub=np.array([p.T, p.T, np.inf]),
-    ))
-    return float(-sol.objective) if sol.status == OPTIMAL else 0.0
-
-
+@within_capacity(l_u_max, MODE_LOCAL)
 def mode_local(p: SystemParams) -> SolveReport:
     """All bits computed at the user over the whole block."""
-    cap = p.T * p.f_u_max / p.c_u
-    if p.L > cap * (1.0 + 1e-12):
-        return SolveReport(status=STATUS_INFEASIBLE, l_max=cap, mode_label=MODE_LOCAL)
     a = Allocation.build(p, l_u=p.L)
     energy = p.kappa_u * p.c_u**3 * p.L**3 / p.T**2
     return SolveReport(
         status=STATUS_OPTIMAL, energy=energy, allocation=a, duality_gap=0.0,
-        mode_label=MODE_LOCAL, l_max=cap, feasibility=check_feasible(a, p),
+        mode_label=MODE_LOCAL, feasibility=check_feasible(a, p),
     )
 
 
@@ -114,6 +59,7 @@ def _comp_derivative(tau1: float, p: SystemParams) -> float:
     return d_off + d_cmp
 
 
+@within_capacity(l_h_max, MODE_COMP)
 def mode_comp_coop(p: SystemParams) -> SolveReport:
     """All bits offloaded to and computed by the helper.
 
@@ -121,20 +67,16 @@ def mode_comp_coop(p: SystemParams) -> SolveReport:
     convex function of the offload slot tau1; its minimizer is found by
     bisection on the derivative over [L/r01(P_u_max), T - c_h L/f_h_max].
     """
-    cap = _l_h_max(p)
-    if p.L > cap * (1.0 + 1e-12):
-        return SolveReport(status=STATUS_INFEASIBLE, l_max=cap, mode_label=MODE_COMP)
     if p.L == 0.0:
         a = Allocation.zero(p)
         return SolveReport(status=STATUS_OPTIMAL, energy=0.0, allocation=a,
-                           duality_gap=0.0, mode_label=MODE_COMP, l_max=cap,
+                           duality_gap=0.0, mode_label=MODE_COMP,
                            feasibility=check_feasible(a, p))
 
+    # at the capacity lo and hi meet at tau1_b, and within fits' allowance
+    # they cross by rounding; the convex objective then takes an end
     lo = p.L / r01(p.P_u_max, p)          # smallest slot with P1 <= P_u_max
     hi = p.T - p.c_h * p.L / p.f_h_max    # leave the helper enough compute time
-    if lo > hi:
-        return SolveReport(status=STATUS_INFEASIBLE, l_max=cap, mode_label=MODE_COMP)
-
     if _comp_derivative(lo, p) >= 0.0:
         tau1 = lo
     elif _comp_derivative(hi, p) <= 0.0:
@@ -154,10 +96,11 @@ def mode_comp_coop(p: SystemParams) -> SolveReport:
     energy = _comp_objective(tau1, p)
     return SolveReport(
         status=STATUS_OPTIMAL, energy=energy, allocation=alloc, duality_gap=0.0,
-        mode_label=MODE_COMP, l_max=cap, feasibility=check_feasible(alloc, p),
+        mode_label=MODE_COMP, feasibility=check_feasible(alloc, p),
     )
 
 
+@within_capacity(l_a_max, MODE_COMM)
 def mode_comm_coop(p: SystemParams) -> SolveReport:
     """All bits relayed to the AP through the helper.
 
@@ -165,13 +108,8 @@ def mode_comm_coop(p: SystemParams) -> SolveReport:
     two relay slots with l_a pinned to L and the AP execution slot
     reserved out of the deadline.
     """
-    cap = lmax_binary(p).l_a_max
-    if p.L > cap * (1.0 + 1e-12):
-        return SolveReport(status=STATUS_INFEASIBLE, l_max=cap, mode_label=MODE_COMM)
     rest = Restriction(helper_path=False, local_bits=False, l_a_pinned=p.L)
-    report = solve_restricted(p, rest, MODE_COMM)
-    report.l_max = cap
-    return report
+    return solve_restricted(p, rest, MODE_COMM)
 
 
 def solve_p2(p: SystemParams) -> SolveReport:
@@ -179,8 +117,9 @@ def solve_p2(p: SystemParams) -> SolveReport:
     reports = [mode_local(p), mode_comp_coop(p), mode_comm_coop(p)]
     feasible = [r for r in reports if r.status != STATUS_INFEASIBLE]
     if not feasible:
-        cap = lmax_binary(p)
-        return SolveReport(status=STATUS_INFEASIBLE, l_max=cap.L_max2,
+        # L_max2 is the largest of the three modes' capacities
+        return SolveReport(status=STATUS_INFEASIBLE,
+                           l_max=max(r.l_max for r in reports),
                            mode_label="joint-binary")
     best = feasible[0]
     for r in feasible[1:]:

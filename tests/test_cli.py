@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import coopmec.cli
@@ -12,9 +14,9 @@ from coopmec.cli import (
 )
 from coopmec.dual import DualInfeasibleError
 from coopmec.ellipsoid import OracleError
-from coopmec.model import InfeasibleWindowError
+from coopmec.model import InfeasibleWindowError, lmax_binary, lmax_partial
 from coopmec.p1 import RecoveryError
-from coopmec.scenario import Scenario, ScenarioError
+from coopmec.scenario import Scenario, ScenarioError, load_scenario
 
 
 def cfg(tmp_path, text, name="scenario.cfg"):
@@ -75,6 +77,26 @@ def test_feascheck(tmp_path, capsys):
     assert rc == EXIT_OK
     assert "L_max_partial" in out
     assert "partial_feasible: True" in out
+
+
+@pytest.mark.parametrize("over,feasible", [(1e-13, True), (1e-11, False)])
+def test_feascheck_agrees_with_solve_just_above_capacity(tmp_path, capsys, over, feasible):
+    # a task within 1e-12 above a capacity fits it, in feascheck as in the
+    # solvers; feascheck once compared against the bare capacity
+    p = load_scenario(cfg(tmp_path, "T_ms = 50\n")).system_params()
+    for scheme, key, cap in (("joint-partial", "partial_feasible", lmax_partial(p)),
+                             ("joint-binary", "binary_feasible", lmax_binary(p).L_max2)):
+        path = cfg(tmp_path, f"T_ms = 50\nL_Mbits = {cap * (1.0 + over) / 1e6!r}\n",
+                   name=f"{scheme}.cfg")
+        rc = main(["feascheck", "--config", path])
+        out = capsys.readouterr().out
+        assert re.search(rf"{key}:\s+{feasible}\n", out)
+        if scheme == "joint-partial":
+            assert rc == (EXIT_OK if feasible else EXIT_INFEASIBLE)
+        rc = main(["solve", "--config", path, "--scheme", scheme])
+        out = capsys.readouterr().out
+        assert rc == (EXIT_OK if feasible else EXIT_INFEASIBLE)
+        assert ("status:      infeasible" in out) != feasible
 
 
 def test_verify_small_budget(tmp_path, capsys):

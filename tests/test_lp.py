@@ -396,16 +396,15 @@ def random_lp(rng) -> LpProblem:
 
 
 def solver_lps(monkeypatch) -> list[LpProblem]:
-    """The capacity and recovery LPs the solver itself builds."""
+    """The recovery LPs the solver itself builds."""
     import coopmec.p1
-    import coopmec.p2
     from coopmec.bench import run_benchmark
     from conftest import desk_params, random_params
 
     seen = []
-    for mod in (coopmec.p1, coopmec.p2):
-        monkeypatch.setattr(mod, "lp_solve", lambda prob, real=mod.lp_solve:
-                            seen.append(prob) or real(prob))
+    real = coopmec.p1.lp_solve
+    monkeypatch.setattr(coopmec.p1, "lp_solve",
+                        lambda prob: seen.append(prob) or real(prob))
     rng = np.random.default_rng(7)
     for p in (desk_params(T=0.03), random_params(rng), random_params(rng, frac=0.999)):
         for scheme in ("joint-partial", "comp-binary", "comm-partial"):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -47,9 +47,10 @@ def test_lmax_increasing_in_T_and_above_local():
         prev = v
 
 
-def _lmax_highs(p) -> float:
-    """The joint capacity from scipy's HiGHS, written with inequalities
-    only: every route, CPU and the block within its limits."""
+def _lmax_highs(p, pinned=()) -> float:
+    """A capacity from scipy's HiGHS, written with inequalities only: every
+    route, CPU and the block within its limits, and the bits named in
+    `pinned` (of l_u, l_h, l_a) held at zero with the slots that carry them."""
     linprog = pytest.importorskip("scipy.optimize").linprog
     r01m, r0m, r1m = r01(p.P_u_max, p), r0(p.P_u_max, p), r1(p.P_h_max, p)
     # vars: tau1, tau2, tau3, l_u, l_h, l_a
@@ -62,10 +63,18 @@ def _lmax_highs(p) -> float:
         [0.0, -r0m, -r1m, 0.0, 0.0, 1.0],                # the AP collects l_a
     ]
     b_ub = [p.T, p.T * p.f_u_max, p.T * p.f_h_max, 0.0, 0.0, 0.0]
+    carriers = {"l_u": (3,), "l_h": (0, 4), "l_a": (1, 2, 5)}
+    zero = {i for name in pinned for i in carriers[name]}
+    bounds = [(0.0, 0.0) if i in zero else (0.0, None) for i in range(6)]
     res = linprog([0.0, 0.0, 0.0, -1.0, -1.0, -1.0], A_ub=A_ub, b_ub=b_ub,
-                  bounds=[(0.0, None)] * 6, method="highs")
+                  bounds=bounds, method="highs")
     assert res.status == 0
     return -res.fun
+
+
+#: the bits each dual-pipeline scheme holds at zero, in _lmax_highs' terms
+SCHEME_PINS = {"joint-partial": (), "comp-partial": ("l_a",),
+               "comm-partial": ("l_h",), "comm-binary": ("l_u", "l_h")}
 
 
 def test_lmax_with_a_direct_link_faster_than_the_helper_link():
@@ -79,9 +88,57 @@ def test_lmax_with_a_direct_link_faster_than_the_helper_link():
 
 
 def test_lmax_matches_highs(rng):
-    for p in [desk_params(), _acceptance_instance(39)] + [
-            random_params(rng) for _ in range(20)]:
-        assert lmax_partial(p) == pytest.approx(_lmax_highs(p), rel=1e-9)
+    # with a = r01, b = r0, c = r1 at the caps: the a <= b branch of the AP
+    # rate (a strong direct link), the direct link alone (a weak forward
+    # hop), the relay (the desk), dead channels, and random draws
+    d = desk_params()
+    instances = [
+        d, _acceptance_instance(39), desk_params(h0=100.0 * d.h01),
+        desk_params(h1=1e-3 * d.h1), desk_params(h1=1e-30),
+        desk_params(h01=1e-30, h0=1e-30, h1=1e-30),
+    ] + [random_params(rng) for _ in range(20)]
+    branches = set()
+    for p in instances:
+        a, b, c = r01(p.P_u_max, p), r0(p.P_u_max, p), r1(p.P_h_max, p)
+        k = p.c_a / p.f_a_max
+        branches.add("a<=b" if a <= b else "direct" if c == 0.0
+                     or b / (1 + k * b) >= a / (1 + (a - b) / c + k * a) else "relay")
+        for scheme, pinned in SCHEME_PINS.items():
+            assert _scheme_capacity(p, scheme) == pytest.approx(
+                _lmax_highs(p, pinned), rel=1e-9)
+    assert branches == {"a<=b", "direct", "relay"}
+
+
+def _rescaled_bits(p, k: float):
+    return replace(p, B=k * p.B, L=k * p.L, c_u=p.c_u / k, c_h=p.c_h / k, c_a=p.c_a / k)
+
+
+@pytest.mark.parametrize("k", [1e-3, 1e3])
+def test_bits_rescaled_scale_every_capacity(k):
+    # B -> kB, L -> kL, c_* -> c_*/k is the same problem in other bit units
+    rng = np.random.default_rng(5)
+    for p in [desk_params(), desk_params(D=240.0)] + [random_params(rng) for _ in range(8)]:
+        q = _rescaled_bits(p, k)
+        for x, y in zip(astuple(lmax_binary(q)), astuple(lmax_binary(p))):
+            assert x == pytest.approx(k * y, rel=1e-14)
+        for scheme in SCHEME_PINS:
+            assert _scheme_capacity(q, scheme) == pytest.approx(
+                k * _scheme_capacity(p, scheme), rel=1e-14)
+
+
+def test_bits_rescaled_keep_status_and_energy():
+    # the same problem in other bit units: each certificate brackets the
+    # one optimum, so two certified energies differ by at most their gaps
+    rng = np.random.default_rng(1234)
+    for p in [random_params(rng) for _ in range(4)]:
+        for scheme in ("joint-partial", "comp-partial", "comm-binary"):
+            rep = run_benchmark(scheme, p)
+            for k in (1e-3, 1e3):
+                rep_k = run_benchmark(scheme, _rescaled_bits(p, k))
+                assert rep_k.status == rep.status
+                if rep.ok:
+                    bound = rep.duality_gap * rep.energy + rep_k.duality_gap * rep_k.energy
+                    assert abs(rep.energy - rep_k.energy) <= bound
 
 
 def test_solve_p1_zero_task():
@@ -345,12 +402,14 @@ def _near_capacity_draw(seed: int, k: int):
 
 def test_joint_partial_certifies_seed_103_draw_13():
     # L = 0.999 of capacity: the run restarted again and again, and it
-    # ended nonconverged at the cap with no recoverable allocation
+    # ended nonconverged at the cap with no recoverable allocation. With the
+    # LP capacity L was one ulp larger and the solve certified 1.2311774782 J
+    # at gap 4.0e-7, a bracket that holds the energy pinned here
     p = _near_capacity_draw(103, 13)
     rep = solve_p1(p)
     _assert_certified(rep, p)
     assert rep.iterations < MAX_ITER
-    assert rep.energy == pytest.approx(1.2311774782, rel=1e-9)
+    assert rep.energy == pytest.approx(1.2311772191, rel=1e-9)
 
 
 def test_comp_partial_certifies_seed_105_draw_8():

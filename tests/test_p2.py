@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from coopmec.p2 import (
     mode_local,
     solve_p2,
 )
-from conftest import desk_params
+from conftest import desk_params, random_params
 
 
 def test_lmax_binary_local_closed_form():
@@ -120,6 +122,18 @@ def test_mode_comp_coop_infeasible():
     assert rep.l_max is not None
 
 
+def test_mode_comp_coop_at_its_capacity(rng):
+    # at L = l_h_max the slot bounds L/r01 and T - c_h L/f_h_max meet, and
+    # rounding can cross them: comp-binary once reported its own capacity
+    # infeasible, on about a third of random draws
+    for p in [random_params(rng) for _ in range(20)]:
+        for frac in (1.0, 1.0 + 1e-13):
+            q = replace(p, L=frac * lmax_binary(p).l_h_max)
+            rep = mode_comp_coop(q)
+            assert rep.ok
+            assert check_feasible(rep.allocation, q).feasible(1e-9)
+
+
 def test_mode_comm_coop_against_grid_oracle():
     for T in (0.02, 0.03):
         p = desk_params(T=T)
@@ -174,9 +188,10 @@ def test_solve_p2_single_feasible_mode():
 
 
 def test_solve_p2_infeasible():
-    rep = solve_p2(desk_params(T=0.005, L=1e7))
+    p = desk_params(T=0.005, L=1e7)
+    rep = solve_p2(p)
     assert rep.status == STATUS_INFEASIBLE
-    assert rep.l_max is not None
+    assert rep.l_max == lmax_binary(p).L_max2
 
 
 def test_p1_dominates_p2():
