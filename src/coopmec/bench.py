@@ -28,7 +28,7 @@ SCHEME_LABELS = (
     "joint-binary",
 )
 
-COMP_PARTIAL = Restriction(relay_path=False, l_a_pinned=0.0)
+COMP_PARTIAL = Restriction(relay_path=False)
 COMM_PARTIAL = Restriction(helper_path=False)
 
 

@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import LN2, SystemParams, r0, r01, r1
+from .model import LN2, SystemParams, l_u_max, r0, r01, r1
 
 class DualInfeasibleError(ValueError):
     """Dual point outside the feasible set of the dual problem."""
@@ -197,7 +197,7 @@ def solve_sub4(d: DualPoint, p: SystemParams) -> float:
     return _clip(
         p.T * math.sqrt(d.mu2 / (3.0 * p.kappa_u * p.c_u**3)),
         0.0,
-        p.T * p.f_u_max / p.c_u,
+        l_u_max(p),
     )
 
 
@@ -224,37 +224,26 @@ def _require_signs(d: DualPoint) -> None:
 
 # -- the dual function, whole or restricted -----------------------------------
 #
-# The benchmark schemes and the binary communication-cooperation mode are
-# the same problem with blocks pinned: the dual shrinks to the prices of
-# the constraints that remain. FULL pins nothing.
+# The benchmark schemes are the same problem with a route pinned off: the
+# dual shrinks to the prices of the constraints that remain. FULL pins
+# nothing.
 
 DUAL_NAMES = ("lam1", "lam2", "lam3", "mu1", "mu2")
 
 
 @dataclass(frozen=True)
 class Restriction:
-    """Which primal blocks stay free in a restricted solve.
+    """Which routes stay open in a restricted solve.
 
     helper_path False pins l_h = 0, tau1 = 0 (drops sub1 and lam1);
-    relay_path False pins tau2 = tau3 = 0 (drops sub2/sub3 and lam2/lam3,
-    only meaningful with l_a pinned to 0); local_bits False pins l_u = 0;
-    l_a_pinned fixes the AP bits (None keeps them free through sub5).
+    relay_path False pins l_a = 0, tau2 = tau3 = 0 (drops sub2/sub3 and
+    lam2/lam3).
     """
 
     helper_path: bool = True
     relay_path: bool = True
-    local_bits: bool = True
-    l_a_pinned: float | None = None
-
-    def __post_init__(self):
-        if not self.relay_path and self.l_a_pinned != 0.0:
-            raise ValueError("dropping the relay path requires l_a pinned to 0")
 
     # cached in the instance's own __dict__; the fields are frozen
-    @cached_property
-    def partition_active(self) -> bool:
-        return self.local_bits or self.helper_path or self.l_a_pinned is None
-
     @cached_property
     def active_duals(self) -> tuple[str, ...]:
         names = []
@@ -262,10 +251,7 @@ class Restriction:
             names.append("lam1")
         if self.relay_path:
             names.extend(["lam2", "lam3"])
-        names.append("mu1")
-        if self.partition_active:
-            names.append("mu2")
-        return tuple(names)
+        return (*names, "mu1", "mu2")
 
     @cached_property
     def active_index(self) -> tuple[int, ...]:
@@ -300,11 +286,8 @@ def eval_dual_restricted(
     entries are the dualized-constraint residuals at the minimizer, with
     tau*rate(E/tau) taken as 0 at tau = 0.
     """
-    la_free = rest.l_a_pinned is None
-    if la_free:
-        slack = d.bounded_below_slack(p)
-        if slack < 0.0:
-            raise DualInfeasibleError(f"dual point outside the feasible set: {d}")
+    if rest.relay_path and d.bounded_below_slack(p) < 0.0:
+        raise DualInfeasibleError(f"dual point outside the feasible set: {d}")
 
     s1 = solve_sub1(d, p) if rest.helper_path else _SUB1_OFF
     if rest.relay_path:
@@ -312,21 +295,14 @@ def eval_dual_restricted(
         s3 = solve_sub3(d, p)
     else:
         s2, s3 = _SUB2_OFF, _SUB3_OFF
-    l_u = solve_sub4(d, p) if rest.local_bits else 0.0
-    if la_free:
-        # the coefficient (slack) is >= 0 here: solve_sub5 gives l_a = 0
-        l_a = v5 = 0.0
-    else:
-        l_a = rest.l_a_pinned
-        coef = d.lam2 + d.lam3 + d.mu1 * p.c_a / p.f_a_max
-        if rest.partition_active:
-            coef -= d.mu2
-        v5 = coef * l_a
+    l_u = solve_sub4(d, p)
+    # l_a = 0: pinned with the relay off, and solve_sub5's choice at the
+    # nonnegative slack otherwise
+    l_a = 0.0
 
     v4 = p.kappa_u * p.c_u**3 * l_u**3 / p.T**2 - d.mu2 * l_u
-    g_value = s1["value"] + s2["value"] + s3["value"] + v4 + v5 - d.mu1 * p.T
-    if rest.partition_active:
-        g_value += d.mu2 * p.L
+    g_value = s1["value"] + s2["value"] + s3["value"] + v4 - d.mu1 * p.T
+    g_value += d.mu2 * p.L
 
     tau1, tau2, tau3, l_h = s1["tau1"], s2["tau2"], s3["tau3"], s1["l_h"]
     # positional, in field order: keywords cost time on every call

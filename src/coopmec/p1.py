@@ -1,8 +1,8 @@
 """Partial-offloading pipeline: capacity check, dual ascent, primal recovery.
 
-solve_p1 runs the full three-route problem; the same machinery with blocks
-pinned (see dual.Restriction) powers the benchmark schemes and the binary
-communication-cooperation mode.
+solve_p1 runs the full three-route problem; the same machinery with a
+route pinned off (see dual.Restriction) powers the comp-partial and
+comm-partial benchmark schemes.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .model import (
     check_feasible,
     fits,
     inv_rate_power,
+    l_u_max,
     lmax_partial,
     r0,
     r01,
@@ -135,7 +136,7 @@ def _make_oracle(p: SystemParams, rest: Restriction):
     sign_cuts = [(i, cut({name: -1.0})) for i, name in enumerate(names)
                  if name != "mu2"]
     slack_cut = None
-    if rest.l_a_pinned is None:
+    if rest.relay_path:
         slack_cut = cut({"lam2": -1.0, "lam3": -1.0, "mu1": -ca_f, "mu2": 1.0})
 
     def oracle(x: np.ndarray) -> ell.CutOracleResult:
@@ -154,6 +155,24 @@ def _make_oracle(p: SystemParams, rest: Restriction):
         return ell.CutOracleResult(ell.OBJECTIVE_CUT, sub, g)
 
     return oracle
+
+
+def certify(alloc: Allocation, d: DualPoint, dual_bound: float, p: SystemParams,
+            label: str) -> SolveReport:
+    """The report of an allocation with its certificate: the gap itself
+    (energy minus a dual value bounds the distance to the optimum by weak
+    duality), the feasibility of the allocation and its KKT residual at
+    the dual point d. `optimal` means all three hold."""
+    energy = total_energy(alloc, p)
+    feas = check_feasible(alloc, p)
+    gap = _rel_gap(energy, dual_bound)
+    holds = (gap <= GAP_TOL and feas.feasible(FEAS_TOL)
+             and max_kkt_residual(alloc, d, p) <= CHECKPOINT_KKT_TOL)
+    return SolveReport(
+        status=STATUS_OPTIMAL if holds else STATUS_NONCONVERGED,
+        energy=energy, allocation=alloc, dual=d, duality_gap=gap,
+        mode_label=label, feasibility=feas,
+    )
 
 
 def recover_primal(
@@ -194,8 +213,7 @@ def _recovery_lp(sol, p: SystemParams, rest: Restriction) -> Allocation | None:
     """
     ca_f = p.c_a / p.f_a_max
     l_u_eff = min(sol.l_u, p.L)  # the subproblem box does not know L
-    la_free = rest.l_a_pinned is None
-    la_fixed = 0.0 if la_free else rest.l_a_pinned
+    la_free = rest.relay_path  # l_a is pinned to 0 with the relay off
     M1 = sol.M1
     frozen = {"tau1": sol.P1, "tau2": sol.P2, "tau3": sol.P3}
     cap = {"tau1": p.P_u_max, "tau2": p.P_u_max, "tau3": p.P_h_max}
@@ -227,16 +245,14 @@ def _recovery_lp(sol, p: SystemParams, rest: Restriction) -> Allocation | None:
         to_ap = {"tau2": r0, "tau3": r1}
         A_ub.append(row(lambda s, P: -to_ap[s](P, p) if s in to_ap else 0.0, l_a=1.0))
         A_ub.append(row(lambda s, P: -r01(P, p) * (s == "tau2"), l_a=1.0))
-        b_ub += [-la_fixed, -la_fixed]
+        b_ub += [0.0, 0.0]
     A_ub.append(row(lambda s, P: 1.0, l_a=ca_f))      # block deadline
-    b_ub.append(p.T - ca_f * la_fixed)
-    if rest.partition_active:
-        # carry the task's bits, less at most a hair that stays inside the
-        # feasibility tolerance and is folded back into l_u below
-        part = row(lambda s, P: -M1 * (s == "tau1"), l_a=1.0)
-        rhs = p.L - l_u_eff - la_fixed - M1 * p.T
-        A_ub += [part, -part]
-        b_ub += [rhs, 0.25 * FEAS_TOL * max(p.L, 1.0) - rhs]
+    b_ub.append(p.T)
+    # carry the task's bits: l_h + l_a = L - l_u, as two inequality rows
+    part = row(lambda s, P: -M1 * (s == "tau1"), l_a=1.0)
+    rhs = p.L - l_u_eff - M1 * p.T
+    A_ub += [part, -part]
+    b_ub += [rhs, -rhs]
 
     ub = row(lambda s, P: p.T, l_a=p.L)
     lp = lp_solve(LpProblem(c=c, A_ub=np.array(A_ub), b_ub=np.array(b_ub),
@@ -252,7 +268,7 @@ def _recovery_lp(sol, p: SystemParams, rest: Restriction) -> Allocation | None:
             mean_rates = [sum(t * rate(link, P, p) for P, t in shares) / tau[slot]
                           for link in links]
             power[slot] = max(inv_rate_power(link, r, p) for link, r in zip(links, mean_rates))
-    l_a = lp.x[-1] if la_free else la_fixed
+    l_a = lp.x[-1] if la_free else 0.0
     l_h = M1 * (p.T - tau["tau1"])
     # trim idle slots the LP may have left open at zero objective cost
     if M1 == 0.0:
@@ -261,10 +277,8 @@ def _recovery_lp(sol, p: SystemParams, rest: Restriction) -> Allocation | None:
         tau["tau2"] = tau["tau3"] = 0.0
     elif power["tau3"] == 0.0 and l_a <= tau["tau2"] * r0(power["tau2"], p):
         tau["tau3"] = 0.0
-    l_u = l_u_eff
-    if rest.partition_active:
-        # exact bit balance: fold the hair into l_u
-        l_u = min(max(p.L - l_h - l_a, 0.0), p.T * p.f_u_max / p.c_u)
+    # exact bit balance: fold the LP's rounding into l_u
+    l_u = min(max(p.L - l_h - l_a, 0.0), l_u_max(p))
     return Allocation.build(
         p, tau1=tau["tau1"], tau2=tau["tau2"], tau3=tau["tau3"],
         P1=power["tau1"] if tau["tau1"] > 0.0 else 0.0,
@@ -291,35 +305,17 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
     report is `optimal` only under the same certificate, and
     `nonconverged` otherwise.
     """
-    if p.L == 0.0 and rest.l_a_pinned in (None, 0.0):
-        a = Allocation.zero(p)
-        return SolveReport(
-            status=STATUS_OPTIMAL, energy=0.0, allocation=a,
-            dual=DualPoint(0, 0, 0, 0, 0), duality_gap=0.0, iterations=0,
-            mode_label=label, feasibility=check_feasible(a, p),
-        )
+    if p.L == 0.0:
+        return certify(Allocation.zero(p), DualPoint(0, 0, 0, 0, 0), 0.0, p, label)
 
     def report_at(point: np.ndarray, dual_bound: float) -> SolveReport | None:
-        # recover the primal at a dual point, or None. The certificate is
-        # the gap itself (energy minus the best dual value bounds the
-        # distance to the optimum by weak duality), the feasibility of the
-        # allocation and its KKT residual at the dual point; `optimal`
-        # means all three hold
+        # recover the primal at a dual point and certify it, or None
         d = rest.expand(point)
         try:
             alloc = recover_primal(d, p, rest)
         except (RecoveryError, DualInfeasibleError):
             return None
-        energy = total_energy(alloc, p)
-        feas = check_feasible(alloc, p)
-        gap = _rel_gap(energy, dual_bound)
-        holds = (gap <= GAP_TOL and feas.feasible(FEAS_TOL)
-                 and max_kkt_residual(alloc, d, p) <= CHECKPOINT_KKT_TOL)
-        return SolveReport(
-            status=STATUS_OPTIMAL if holds else STATUS_NONCONVERGED,
-            energy=energy, allocation=alloc, dual=d, duality_gap=gap,
-            mode_label=label, feasibility=feas,
-        )
+        return certify(alloc, d, dual_bound, p, label)
 
     certified: list[SolveReport] = []
     rejected: list[np.ndarray] = []  # the points the previous call was given
@@ -387,7 +383,7 @@ def _polish_inactive_routes(report: SolveReport, p: SystemParams) -> SolveReport
     la_off = a.l_a <= bit_eps
     lh_off = a.l_h <= bit_eps
     if la_off and not lh_off:
-        rest = Restriction(relay_path=False, l_a_pinned=0.0)
+        rest = Restriction(relay_path=False)
     elif lh_off and not la_off:
         rest = Restriction(helper_path=False)
     else:

@@ -146,6 +146,16 @@ def test_criterion_4_kkt_residuals(gap_batch, fig4_table):
                   f"(worst {worst:.2e})")
 
 
+def test_partition_row_holds_exactly_on_criterion_1_batch(gap_batch):
+    # the recovery LP writes l_u + l_h + l_a = L as two inequality rows with
+    # no slack between them, so the bits add up to rounding (they were
+    # allowed 0.25 FEAS_TOL max(L, 1) short)
+    for p, rep, _ in gap_batch:
+        if rep.ok:
+            a = rep.allocation
+            assert abs(a.l_u + a.l_h + a.l_a - p.L) <= 1e-13 * max(p.L, 1.0)
+
+
 def test_criterion_5_capacity_ordering():
     prev = -np.inf
     ok = True

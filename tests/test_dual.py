@@ -302,32 +302,10 @@ def test_kkt_stationarity_at_interior_subproblem_solutions(p_default, rng):
 
 def test_restriction_active_duals():
     assert FULL.active_duals == ("lam1", "lam2", "lam3", "mu1", "mu2")
-    comp = Restriction(relay_path=False, l_a_pinned=0.0)
+    comp = Restriction(relay_path=False)
     assert comp.active_duals == ("lam1", "mu1", "mu2")
     comm = Restriction(helper_path=False)
     assert comm.active_duals == ("lam2", "lam3", "mu1", "mu2")
-    binary = Restriction(helper_path=False, local_bits=False, l_a_pinned=1e4)
-    assert binary.active_duals == ("lam2", "lam3", "mu1")
-    assert not binary.partition_active
-    with pytest.raises(ValueError):
-        Restriction(relay_path=False, l_a_pinned=None)
-
-
-def test_restricted_eval_matches_manual_lagrangian(p_default):
-    # binary comm restriction: g = sub2 + sub3 + (lam2+lam3) L
-    # + mu1 (L c_a / f_a_max - T)
-    p = p_default
-    rest = Restriction(helper_path=False, local_bits=False, l_a_pinned=p.L)
-    d = DualPoint(0.0, 2e-7, 1e-7, 1e-3, 0.0)
-    g, sol, sub = eval_dual_restricted(d, p, rest)
-    s2 = solve_sub2(d, p)
-    s3 = solve_sub3(d, p)
-    expect = (
-        s2["value"] + s3["value"] + (d.lam2 + d.lam3) * p.L
-        + d.mu1 * (p.L * p.c_a / p.f_a_max - p.T)
-    )
-    assert g == pytest.approx(expect, rel=1e-12)
-    assert sub.shape == (3,)
 
 
 def test_eval_dual_thread_safe(p_default, rng):
@@ -342,9 +320,7 @@ def test_subgradient_is_the_residual_vector_bit_for_bit(p_default, rng):
     # the evaluator reuses the subproblems' rates; the entries must equal
     # the dualized-constraint residuals recomputed from the model's rates
     p = p_default
-    rests = [FULL, Restriction(helper_path=False),
-             Restriction(relay_path=False, l_a_pinned=0.0),
-             Restriction(helper_path=False, local_bits=False, l_a_pinned=p.L)]
+    rests = [FULL, Restriction(helper_path=False), Restriction(relay_path=False)]
     for _ in range(40):
         d = random_dual(rng, p)
         for rest in rests:

@@ -5,7 +5,7 @@ import pytest
 
 import coopmec.p1
 from coopmec.bench import run_benchmark
-from coopmec.dual import FULL, DualPoint, Restriction, eval_dual_restricted
+from coopmec.dual import FULL, DualPoint, Restriction, solve_sub2, solve_sub3
 from coopmec.model import check_feasible, r0, r01, r1, total_energy
 from coopmec.oracle import max_kkt_residual, oracle_p11
 from coopmec.p1 import (
@@ -346,8 +346,9 @@ def test_comm_binary_tiny_task_with_strong_direct_link_is_weakly_dual():
     # energy. The exact dual value at the report's dual point stays below
     # the energy (weak duality)
     p, rep = _certified_at_fraction("comm-binary", 1e-6, **_direct_link_strong())
-    rest = Restriction(helper_path=False, local_bits=False, l_a_pinned=p.L)
-    value, _, _ = eval_dual_restricted(rep.dual, p, rest)
+    d = rep.dual
+    value = (solve_sub2(d, p)["value"] + solve_sub3(d, p)["value"]
+             + (d.lam2 + d.lam3) * p.L + d.mu1 * (p.L * p.c_a / p.f_a_max - p.T))
     assert value <= rep.energy * (1.0 + 1e-9)
 
 
@@ -436,7 +437,7 @@ def test_solve_stops_on_the_certificate_not_the_caps(rest, label):
 
 
 def test_solve_restricted_comp_partial_structure(p_default):
-    rest = Restriction(relay_path=False, l_a_pinned=0.0)
+    rest = Restriction(relay_path=False)
     rep = solve_restricted(desk_params(T=0.03), rest, "comp-partial")
     assert rep.ok
     a = rep.allocation
@@ -470,7 +471,7 @@ def _count_runs(monkeypatch):
 
 @pytest.mark.parametrize("rest,label,frac,desk", [
     (FULL, "joint-partial", 0.5, {}),
-    (Restriction(relay_path=False, l_a_pinned=0.0), "comp-partial", 0.5, {}),
+    (Restriction(relay_path=False), "comp-partial", 0.5, {}),
     (Restriction(helper_path=False), "comm-partial", 0.5, {}),
     # at capacity: the shape matrix breaks down and the run restarts
     (Restriction(helper_path=False), "comm-partial", 1.0, {"D": 240.0}),

@@ -3,9 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coopmec.model import check_feasible, r01
-from coopmec.oracle import comp_coop_grid, oracle_comm_coop
-from coopmec.p1 import STATUS_INFEASIBLE, solve_p1
+import coopmec.ellipsoid
+import coopmec.oracle
+from coopmec.dual import solve_sub2, solve_sub3
+from coopmec.model import check_feasible, l_a_max, r01
+from coopmec.oracle import comp_coop_grid, max_kkt_residual, oracle_comm_coop
+from coopmec.p1 import GAP_TOL, STATUS_INFEASIBLE, solve_p1
 from coopmec.p2 import (
     MODE_COMM,
     MODE_COMP,
@@ -17,6 +20,7 @@ from coopmec.p2 import (
     solve_p2,
 )
 from conftest import desk_params, random_params
+from test_p1 import EDGE_TEMPLATES
 
 
 def test_lmax_binary_local_closed_form():
@@ -159,6 +163,78 @@ def test_mode_comm_coop_infeasible():
     p = desk_params(T=0.005, L=1e6)
     rep = mode_comm_coop(p)
     assert rep.status == STATUS_INFEASIBLE
+
+
+def _comm_dual_value(d, p) -> float:
+    """The relay mode's dual function at d, summed from the subproblems:
+    sub2 + sub3 + (lam2 + lam3) L + mu1 (L c_a/f_a_max - T)."""
+    return (solve_sub2(d, p)["value"] + solve_sub3(d, p)["value"]
+            + (d.lam2 + d.lam3) * p.L + d.mu1 * (p.L * p.c_a / p.f_a_max - p.T))
+
+
+def _at_capacity_fraction(template: str, frac: float):
+    p = EDGE_TEMPLATES[template]()
+    return replace(p, L=frac * l_a_max(p))
+
+
+#: the figure-4 sweep points and the capacity-edge instances of perfbench
+COMM_INSTANCES = [
+    pytest.param(lambda T=T: desk_params(T=T), id=f"fig4-T{1e3 * T:.0f}ms")
+    for T in np.linspace(0.01, 0.1, 10)
+] + [
+    pytest.param(lambda t=t, f=f: _at_capacity_fraction(t, f), id=f"{t}-{f:g}")
+    for t in EDGE_TEMPLATES for f in (1.0, 0.999, 1e-6)
+]
+
+
+@pytest.mark.parametrize("make", COMM_INSTANCES)
+def test_mode_comm_coop_certificate(make):
+    # optimal, within the KKT bound, feasible, and within GAP_TOL of the
+    # dual value re-evaluated here from the subproblems at the report's
+    # dual point, which stays below the energy (weak duality)
+    p = make()
+    rep = mode_comm_coop(p)
+    assert rep.ok
+    assert max_kkt_residual(rep.allocation, rep.dual, p) <= 1e-6
+    assert check_feasible(rep.allocation, p).feasible(1e-9)
+    g = _comm_dual_value(rep.dual, p)
+    assert g <= rep.energy * (1.0 + 1e-9)
+    assert (rep.energy - g) / rep.energy <= min(rep.duality_gap, GAP_TOL)
+
+
+def test_mode_comm_coop_runs_no_ellipsoid(monkeypatch):
+    runs = []
+    real = coopmec.ellipsoid.ellipsoid_run
+    monkeypatch.setattr(coopmec.ellipsoid, "ellipsoid_run",
+                        lambda *a, **k: runs.append(a) or real(*a, **k))
+    for param in COMM_INSTANCES:
+        assert mode_comm_coop(param.values[0]()).ok
+    assert runs == []
+
+
+@pytest.mark.parametrize("make,parent_energy,parent_gap", [
+    (lambda: desk_params(T=0.01), 0.03914381260735918, 2.94e-08),
+    (lambda: desk_params(T=0.05), 0.006692539157028735, 5.14e-07),
+    (lambda: desk_params(T=0.1), 0.005805192375611402, 1.12e-07),
+    (lambda: _at_capacity_fraction("helper-near-ap", 0.999), 0.3094011464192869, 5.99e-08),
+    (lambda: _at_capacity_fraction("random", 0.999), 0.9443061834007798, 1.2e-08),
+    (lambda: _at_capacity_fraction("direct-link-strong", 1.0), 0.22979060985450306, 3.35e-06),
+])
+def test_mode_comm_coop_no_worse_than_the_dual_pipeline(make, parent_energy, parent_gap):
+    # energies and gaps the ellipsoid pipeline certified for this mode: the
+    # 1-D search lands at or below each, up to that gap
+    rep = mode_comm_coop(make())
+    assert rep.ok
+    assert rep.energy <= parent_energy * (1.0 + parent_gap)
+    assert rep.energy >= parent_energy * (1.0 - 2.0 * parent_gap)
+
+
+def test_oracle_comm_coop_is_independent_of_the_relay_solver():
+    # the grid oracle must not reach the solver's relay formulas or the
+    # dual subproblems it is checked against
+    for value in vars(coopmec.oracle).values():
+        assert getattr(value, "__module__", None) != "coopmec.p2"
+    assert not {"solve_sub2", "solve_sub3", "mode_comm_coop"} & set(vars(coopmec.oracle))
 
 
 def test_solve_p2_selects_minimum(p_default):
