@@ -16,7 +16,7 @@ from .model import (
     rate,
     total_energy,
 )
-from .lp import LpProblem, LpSolution, lp_solve
+from .lp import lp_solve
 from .dual import DualPoint, Restriction, SubproblemSolution
 from .ellipsoid import CutOracleResult, ellipsoid_run
 from .p1 import SolveReport, recover_primal, solve_p1
@@ -32,8 +32,6 @@ __all__ = [
     "CutOracleResult",
     "DualPoint",
     "Geometry",
-    "LpProblem",
-    "LpSolution",
     "Restriction",
     "SCHEME_LABELS",
     "Scenario",

@@ -24,7 +24,6 @@ LN2 = math.log(2.0)
 LINK_USER_HELPER = "user_helper"
 LINK_USER_AP = "user_ap"
 LINK_HELPER_AP = "helper_ap"
-LINKS = (LINK_USER_HELPER, LINK_USER_AP, LINK_HELPER_AP)
 
 
 class InfeasibleWindowError(ValueError):

@@ -20,7 +20,7 @@ from .dual import (
     Restriction,
     eval_dual_restricted,
 )
-from .lp import OPTIMAL, LpProblem, lp_solve
+from .lp import lp_solve
 from .oracle import max_kkt_residual
 from .model import (
     LINK_HELPER_AP,
@@ -222,14 +222,11 @@ def _recovery_lp(sol, p: SystemParams, rest: Restriction) -> Allocation | None:
     # leaves a sliver of bits on a route the optimum avoids
     cols = [(s, frozen[s]) for s in open_slots]
     cols += [(s, cap[s]) for s in open_slots if frozen[s] > 0.0]
-    n = len(cols) + la_free
 
-    def row(slot_coef, l_a: float = 0.0) -> np.ndarray:
-        r = np.zeros(n)
-        for j, (slot, P) in enumerate(cols):
-            r[j] = slot_coef(slot, P)
+    def row(slot_coef, l_a: float = 0.0) -> list[float]:
+        r = [slot_coef(slot, P) for slot, P in cols]
         if la_free:
-            r[-1] = l_a
+            r.append(l_a)
         return r
 
     # the helper computes M1 (T - tau1) bits, idle while tau1 runs
@@ -251,24 +248,22 @@ def _recovery_lp(sol, p: SystemParams, rest: Restriction) -> Allocation | None:
     # carry the task's bits: l_h + l_a = L - l_u, as two inequality rows
     part = row(lambda s, P: -M1 * (s == "tau1"), l_a=1.0)
     rhs = p.L - l_u_eff - M1 * p.T
-    A_ub += [part, -part]
+    A_ub += [part, [-v for v in part]]
     b_ub += [rhs, -rhs]
 
-    ub = row(lambda s, P: p.T, l_a=p.L)
-    lp = lp_solve(LpProblem(c=c, A_ub=np.array(A_ub), b_ub=np.array(b_ub),
-                            lb=np.zeros(n), ub=ub))
-    if lp.status != OPTIMAL:
+    x = lp_solve(c, A_ub, b_ub, row(lambda s, P: p.T, l_a=p.L))
+    if x is None:
         return None
 
     tau, power = {}, dict(frozen)
     for slot, links in _SLOT_LINKS.items():
-        shares = [(P, t) for (s, P), t in zip(cols, lp.x) if s == slot]
+        shares = [(P, t) for (s, P), t in zip(cols, x) if s == slot]
         tau[slot] = sum(t for _, t in shares)
         if any(P != frozen[slot] and t > 0.0 for P, t in shares):
             mean_rates = [sum(t * rate(link, P, p) for P, t in shares) / tau[slot]
                           for link in links]
             power[slot] = max(inv_rate_power(link, r, p) for link, r in zip(links, mean_rates))
-    l_a = lp.x[-1] if la_free else 0.0
+    l_a = x[-1] if la_free else 0.0
     l_h = M1 * (p.T - tau["tau1"])
     # trim idle slots the LP may have left open at zero objective cost
     if M1 == 0.0:

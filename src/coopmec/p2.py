@@ -14,8 +14,7 @@ import sys
 
 from .dual import DualPoint, solve_sub2, solve_sub3
 from .model import LN2, Allocation, SystemParams, check_feasible, l_a_max, l_h_max, l_u_max
-from .model import r0, r01, r1
-from .model import BinaryCapacity, lmax_binary  # noqa: F401 (the capacities' old home)
+from .model import r0, r01, r1, total_energy
 from .p1 import STATUS_INFEASIBLE, STATUS_OPTIMAL, SolveReport, certify, within_capacity
 
 MODE_LOCAL = "local"
@@ -28,10 +27,9 @@ TIE_REL = 1e-12
 def mode_local(p: SystemParams) -> SolveReport:
     """All bits computed at the user over the whole block."""
     a = Allocation.build(p, l_u=p.L)
-    energy = p.kappa_u * p.c_u**3 * p.L**3 / p.T**2
     return SolveReport(
-        status=STATUS_OPTIMAL, energy=energy, allocation=a, duality_gap=0.0,
-        mode_label=MODE_LOCAL, feasibility=check_feasible(a, p),
+        status=STATUS_OPTIMAL, energy=total_energy(a, p), allocation=a,
+        duality_gap=0.0, mode_label=MODE_LOCAL, feasibility=check_feasible(a, p),
     )
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from coopmec.bench import SCHEME_LABELS, run_benchmark
 from coopmec.dual import solve_sub1, solve_sub2, solve_sub3, solve_sub4, solve_sub5
+from coopmec.model import lmax_binary
 from coopmec.oracle import (
     comp_coop_grid,
     max_kkt_residual,
@@ -21,7 +22,7 @@ from coopmec.oracle import (
     oracle_p11,
 )
 from coopmec.p1 import STATUS_INFEASIBLE, lmax_partial, solve_p1
-from coopmec.p2 import lmax_binary, mode_comm_coop, mode_comp_coop, mode_local
+from coopmec.p2 import mode_comm_coop, mode_comp_coop, mode_local
 from conftest import desk_params, random_params
 from test_dual import random_dual, sub1_grid_value, sub23_grid_value
 

@@ -6,7 +6,7 @@ import pytest
 import coopmec.p1
 from coopmec.bench import run_benchmark
 from coopmec.dual import FULL, DualPoint, Restriction, solve_sub2, solve_sub3
-from coopmec.model import check_feasible, r0, r01, r1, total_energy
+from coopmec.model import check_feasible, lmax_binary, r0, r01, r1, total_energy
 from coopmec.oracle import max_kkt_residual, oracle_p11
 from coopmec.p1 import (
     GAP_TOL,
@@ -20,7 +20,6 @@ from coopmec.p1 import (
     solve_p1,
     solve_restricted,
 )
-from coopmec.p2 import lmax_binary
 from conftest import desk_params, random_params
 
 
@@ -205,7 +204,7 @@ def test_recover_primal_solves_one_lp(rng, monkeypatch):
     real = coopmec.p1.lp_solve
     calls = []
     monkeypatch.setattr(coopmec.p1, "lp_solve",
-                        lambda prob: calls.append(prob) or real(prob))
+                        lambda *args: calls.append(args) or real(*args))
     for p in [desk_params()] + [random_params(rng) for _ in range(3)]:
         rep = solve_p1(p)
         assert rep.ok

@@ -6,14 +6,13 @@ import pytest
 import coopmec.ellipsoid
 import coopmec.oracle
 from coopmec.dual import solve_sub2, solve_sub3
-from coopmec.model import check_feasible, l_a_max, r01
+from coopmec.model import check_feasible, l_a_max, lmax_binary, r01
 from coopmec.oracle import comp_coop_grid, max_kkt_residual, oracle_comm_coop
 from coopmec.p1 import GAP_TOL, STATUS_INFEASIBLE, solve_p1
 from coopmec.p2 import (
     MODE_COMM,
     MODE_COMP,
     MODE_LOCAL,
-    lmax_binary,
     mode_comm_coop,
     mode_comp_coop,
     mode_local,
