@@ -44,7 +44,7 @@ class DualInfeasibleError(ValueError):
     """Dual point outside the feasible set of the dual problem."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualPoint:
     lam1: float
     lam2: float

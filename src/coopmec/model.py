@@ -264,7 +264,7 @@ def local_compute_energy(l: float, window: float, kappa: float, c: float) -> flo
     return kappa * c**3 * l**3 / window**2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Allocation:
     """A complete primal point: slots, powers, bit partition, derived fields.
 
@@ -335,7 +335,7 @@ def total_energy(a: Allocation, p: SystemParams) -> float:
     return e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstraintReport:
     """Signed, scale-normalized residuals of every partial-offloading constraint.
 
@@ -371,11 +371,13 @@ def check_feasible(a: Allocation, p: SystemParams, tol: float = 1e-9) -> Constra
     res["P1_bounds"] = max(-a.P1, a.P1 - p.P_u_max) / p.P_u_max
     res["P2_bounds"] = max(-a.P2, a.P2 - p.P_u_max) / p.P_u_max
     res["P3_bounds"] = max(-a.P3, a.P3 - p.P_h_max) / p.P_h_max
-    for name in ("tau1", "tau2", "tau3", "tau4"):
-        v = getattr(a, name)
-        res[f"{name}_bounds"] = max(-v, v - p.T) / p.T
-    for name in ("l_u", "l_h", "l_a"):
-        res[f"{name}_nonneg"] = -getattr(a, name) / bit_scale
+    # literal keys: a report keeps this dict, and a formatted key would be
+    # a new string in each one
+    for name, v in (("tau1_bounds", a.tau1), ("tau2_bounds", a.tau2),
+                    ("tau3_bounds", a.tau3), ("tau4_bounds", a.tau4)):
+        res[name] = max(-v, v - p.T) / p.T
+    for name, v in (("l_u_nonneg", a.l_u), ("l_h_nonneg", a.l_h), ("l_a_nonneg", a.l_a)):
+        res[name] = -v / bit_scale
     res["f_u_cap"] = (a.f_u - p.f_u_max) / p.f_u_max
     res["f_h_cap"] = (a.f_h - p.f_h_max) / p.f_h_max
 

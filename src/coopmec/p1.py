@@ -2,12 +2,15 @@
 
 solve_p1 runs the full three-route problem; the same machinery with a
 route pinned off (see dual.Restriction) powers the comp-partial and
-comm-partial benchmark schemes.
+comm-partial benchmark schemes. A solve stops at the first checkpoint of
+the ascent where the KKT system on the face its recovery shows solves to
+a certified point, usually the first one.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +22,10 @@ from .dual import (
     DualPoint,
     Restriction,
     eval_dual_restricted,
+    solve_sub1,
+    solve_sub2,
+    solve_sub3,
+    solve_sub4,
 )
 from .lp import lp_solve
 from .oracle import max_kkt_residual
@@ -58,7 +65,7 @@ class RecoveryError(RuntimeError):
     """The recovery LP yields no feasible allocation at the dual point."""
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveReport:
     """Outcome of one solve: energy, allocation, and the dual certificate."""
 
@@ -283,33 +290,127 @@ def _recovery_lp(sol, p: SystemParams, rest: Restriction) -> Allocation | None:
     )
 
 
+def _face_solve(d0: DualPoint, a: Allocation, p: SystemParams, rest: Restriction):
+    """The KKT point on the face of `a`, by damped Newton from (d0, a).
+
+    The face: the open slots, whether l_a > 0, and the prices positive on
+    an open route (a price's share of the Lagrangian at its row's scale
+    outweighs the row's slack at `a`). Unknowns: those prices, mu2, the
+    open slots and l_a; equations: rho_i = 0 per open slot and each of
+    those prices' rows and the partition held with equality, at the
+    closed forms of solve_sub1-solve_sub4. With l_a > 0, mu2 makes its
+    coefficient exactly 0. Other open-route prices are 0; closed-route
+    ones keep d0's value. Returns (allocation, prices, dual value), or
+    None unless Newton gets within 1e-12 inside the box and the domain.
+    """
+    T, L, ca_f = p.T, p.L, p.c_a / p.f_a_max
+    scales = (max(L, 1.0),) * 3 + (T, max(L, 1.0))
+    energy = max(total_energy(a, p), 1e-30)
+    slack = check_feasible(a, p).residuals  # the rows at a, scaled
+    zero = defaultdict(float)  # the subproblem of a closed slot
+    slots = [i for i, t in enumerate((a.tau1, a.tau2, a.tau3)) if t > 0.0]
+    la_free = bool(a.l_a > 0.0)
+    base = [d0.lam1, d0.lam2, d0.lam3, d0.mu1, d0.mu2]
+    prices = []
+    for k, row in enumerate(("helper_rate", "relay_sum_rate", "relay_decode_rate", "deadline")):
+        if (0 in slots, 1 in slots, 1 in slots, True)[k]:  # the row's route is open
+            if base[k] * scales[k] / energy > abs(slack[row]):
+                prices.append(k)
+            else:
+                base[k] = 0.0
+    n_dual = len(prices) + (not la_free)
+    z = np.array([base[k] for k in prices] + [base[4]] * (not la_free)
+                 + [(a.tau1, a.tau2, a.tau3)[i] for i in slots] + [a.l_a] * la_free)
+    # the box: prices >= 0 (mu2 is free), slots in [0, T], l_a in [0, L]
+    lo = np.array([0.0] * len(prices) + [-np.inf] * (not la_free) + [0.0] * (z.size - n_dual))
+    hi = np.array([np.inf] * n_dual + [T] * len(slots) + [L] * la_free)
+
+    def state(z):
+        z = z.tolist()
+        v = list(base)
+        for k, x in zip(prices, z):
+            v[k] = x
+        # the same sum as DualPoint.bounded_below_slack, so l_a's is 0.0
+        v[4] = v[1] + v[2] + v[3] * p.c_a / p.f_a_max if la_free else z[len(prices)]
+        d = DualPoint(*v)
+        tau = [0.0, 0.0, 0.0]
+        for i, x in zip(slots, z[n_dual:]):
+            tau[i] = x
+        l_a = z[-1] if la_free else 0.0
+        subs = [solve(d, p) if t > 0.0 else zero
+                for solve, t in zip((solve_sub1, solve_sub2, solve_sub3), tau)]
+        s1, s2, s3 = subs
+        l_h = s1["M1"] * (T - tau[0])
+        rows = (l_h - tau[0] * s1["r01"], l_a - tau[1] * s2["r0"] - tau[2] * s3["r1"],
+                l_a - tau[1] * s2["r01"], tau[0] + tau[1] + tau[2] + l_a * ca_f - T,
+                L - solve_sub4(d, p) - l_h - l_a)
+        F = [subs[i][f"rho{i + 1}"] * T / energy for i in slots]
+        F += [rows[k] / scales[k] for k in prices + [4]]
+        return np.array(F), (d, tau, l_a, l_h, s1, s2, s3)
+
+    try:
+        F, st = state(z)
+        norm = np.abs(F).max()
+        for _ in range(20):
+            h = 1e-7 * np.abs(z) + 1e-300
+            J = np.column_stack([(state(z + h[j] * np.eye(z.size)[j])[0] - F) / h[j]
+                                 for j in range(z.size)])
+            step = np.linalg.solve(J, F)
+            for _ in range(30):
+                if np.all((lo <= z - step) & (z - step <= hi)):
+                    F_t, st_t = state(z - step)
+                    if np.abs(F_t).max() < norm:
+                        break
+                step = 0.5 * step
+            else:
+                break
+            z, F, st, norm = z - step, F_t, st_t, np.abs(F_t).max()
+            if norm <= 1e-15:
+                break
+        if not norm <= 1e-12:
+            return None
+        d, tau, l_a, l_h, s1, s2, s3 = st
+        g = eval_dual_restricted(d, p, rest)[0]
+    except (np.linalg.LinAlgError, DualInfeasibleError):
+        return None
+    return Allocation.build(
+        p, tau1=tau[0], tau2=tau[1], tau3=tau[2], P1=s1["P1"], P2=s2["P2"], P3=s3["P3"],
+        l_u=min(max(L - l_h - l_a, 0.0), l_u_max(p)), l_h=l_h, l_a=l_a), d, g
+
+
 def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveReport:
     """Dual ascent + recovery for the (possibly pinned) convex problem.
 
     Assumes the instance is feasible for the restriction; callers do the
     capacity check. One ellipsoid run maximizes the dual, and it stops on
     the certificate: every time its gap bound drops a decade, the primal
-    is recovered at the ellipsoid's center, then at the best dual point,
-    and the run ends once an allocation has a duality gap within GAP_TOL
-    (against the best dual value), is feasible and has a KKT residual
-    within CHECKPOINT_KKT_TOL. Each breakdown of the ellipsoid (near
-    capacity, where Slater's condition fails) triggers the same check at
-    the best dual point before the restart. A point the previous check
-    rejected is not recovered again. An instance that never certifies
-    runs to MAX_ITER and is recovered once at the best dual point; that
-    report is `optimal` only under the same certificate, and
-    `nonconverged` otherwise.
+    is recovered at the ellipsoid's center, then at the best dual point.
+    The KKT solve on each recovery's face (_face_solve) is certified
+    against the dual value at its own prices; failing that, the recovery
+    is certified against the best dual value. The run ends at the first
+    `optimal` report (gap within GAP_TOL, feasible, KKT residual within
+    CHECKPOINT_KKT_TOL). Each breakdown of the ellipsoid (near capacity)
+    triggers the same check at the best point before the restart, and a
+    point the previous check rejected is not recovered again. A run that
+    never certifies ends at MAX_ITER with the same check at the best
+    point, `nonconverged` unless it holds.
     """
     if p.L == 0.0:
         return certify(Allocation.zero(p), DualPoint(0, 0, 0, 0, 0), 0.0, p, label)
 
     def report_at(point: np.ndarray, dual_bound: float) -> SolveReport | None:
-        # recover the primal at a dual point and certify it, or None
+        # the face solve's report if it certifies, else the recovery's;
+        # None if nothing is recovered
         d = rest.expand(point)
         try:
             alloc = recover_primal(d, p, rest)
         except (RecoveryError, DualInfeasibleError):
             return None
+        face = _face_solve(d, alloc, p, rest)
+        if face is not None:
+            report = certify(*face, p, label)
+            if report.ok:
+                return report
         return certify(alloc, d, dual_bound, p, label)
 
     certified: list[SolveReport] = []
@@ -352,74 +453,13 @@ def _rel_gap(primal: float, dual: float) -> float:
     return abs(primal - dual) / max(abs(primal), 1e-30)
 
 
-def _lift_full_dual(d: DualPoint, p: SystemParams) -> DualPoint:
-    """Make a restricted-problem dual certificate feasible for the full
-    dual: the l_a price floor must cover mu2 even when the relay route is
-    unused (the lifted price multiplies a zero slack, so nothing else in
-    the certificate moves)."""
-    need = d.mu2 - d.mu1 * p.c_a / p.f_a_max - d.lam2 - d.lam3
-    if need > 0.0:
-        return DualPoint(d.lam1, d.lam2 + need, d.lam3, d.mu1, d.mu2)
-    return d
-
-
-def _polish_inactive_routes(report: SolveReport, p: SystemParams) -> SolveReport:
-    """Re-solve under the restriction an unused route suggests.
-
-    When the recovered optimum leaves exactly one of the AP/helper routes
-    idle, the same dual machinery on the smaller, better-conditioned
-    problem closes the last fraction of the gap; the full-problem dual
-    bound keeps certifying the result.
-    """
-    if report.duality_gap <= 1e-10:
-        return report
-    a = report.allocation
-    bit_eps = 1e-6 * max(p.L, 1.0)
-    la_off = a.l_a <= bit_eps
-    lh_off = a.l_h <= bit_eps
-    if la_off and not lh_off:
-        rest = Restriction(relay_path=False)
-    elif lh_off and not la_off:
-        rest = Restriction(helper_path=False)
-    else:
-        return report
-
-    sub = solve_restricted(p, rest, report.mode_label)
-    if not sub.ok or sub.energy >= report.energy * (1.0 - 1e-12):
-        return report
-    dual_bound = report.energy * (1.0 - report.duality_gap)
-    gap = _rel_gap(sub.energy, dual_bound)
-    if gap > GAP_TOL:
-        return report
-    lifted = _lift_full_dual(sub.dual, p)
-    # do not trade a clean certificate for the last decimal of energy
-    old_kkt = max_kkt_residual(a, report.dual, p)
-    new_kkt = max_kkt_residual(sub.allocation, lifted, p)
-    if new_kkt > max(1e-6, old_kkt):
-        return report
-    return SolveReport(
-        status=STATUS_OPTIMAL,
-        energy=sub.energy,
-        allocation=sub.allocation,
-        dual=lifted,
-        duality_gap=gap,
-        iterations=report.iterations + sub.iterations,
-        mode_label=report.mode_label,
-        feasibility=sub.feasibility,
-    )
-
-
 @within_capacity(lmax_partial, "joint-partial")
 def solve_p1(p: SystemParams) -> SolveReport:
     """Optimal joint cooperation with partial offloading.
 
-    The ascent's certified report is returned as recovered, unless
-    exactly one route is idle: _polish_inactive_routes then re-solves
-    with that route pinned off and keeps a cheaper certified answer.
-    Returns an infeasible report (with the capacity attached) when the
-    task exceeds what the block can carry.
+    The report of solve_restricted with no route pinned: in the common
+    case the face solve of its first checkpoint. Returns an infeasible
+    report (with the capacity attached) when the task exceeds what the
+    block can carry.
     """
-    report = solve_restricted(p, FULL, "joint-partial")
-    if report.ok:
-        report = _polish_inactive_routes(report, p)
-    return report
+    return solve_restricted(p, FULL, "joint-partial")

@@ -12,8 +12,17 @@ import time
 import numpy as np
 import pytest
 
+import coopmec.p1
 from coopmec.bench import SCHEME_LABELS, run_benchmark
-from coopmec.dual import solve_sub1, solve_sub2, solve_sub3, solve_sub4, solve_sub5
+from coopmec.dual import (
+    FULL,
+    eval_dual_restricted,
+    solve_sub1,
+    solve_sub2,
+    solve_sub3,
+    solve_sub4,
+    solve_sub5,
+)
 from coopmec.model import lmax_binary
 from coopmec.oracle import (
     comp_coop_grid,
@@ -72,6 +81,34 @@ def test_criterion_1_duality_gap(gap_batch):
     )
     report(1, ok, f"duality gap <= 1e-5 on 50 random instances "
                   f"(worst {max(gaps):.2e}, slowest {max(times):.2f} CPU s)")
+
+
+def test_criterion_1_reports_carry_their_bound(gap_batch):
+    # the gap is measured against the dual value at the report's own dual
+    # point, so the report proves itself from its fields
+    for p, rep, _ in gap_batch:
+        g = eval_dual_restricted(rep.dual, p, FULL)[0]
+        assert rep.duality_gap == pytest.approx((rep.energy - g) / rep.energy, abs=1e-12)
+
+
+def test_criterion_1_batch_runs_one_short_ascent_per_solve(monkeypatch):
+    # no second solve, and each run ends near its first checkpoint: with
+    # the KKT tail and the inactive-route re-solve the batch took 55 runs
+    # and 42,523 iterations
+    runs = []
+    real = coopmec.p1.ell.ellipsoid_run
+
+    def run(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(coopmec.p1.ell, "ellipsoid_run", run)
+    rng = np.random.default_rng(SEED)
+    for _ in range(50):
+        before = len(runs)
+        assert solve_p1(random_params(rng)).ok
+        assert len(runs) == before + 1
+    assert sum(r.iterations for r in runs) <= 21_000
 
 
 def test_criterion_2_oracle_equivalence():

@@ -249,7 +249,10 @@ def solver_lps(monkeypatch) -> list[tuple]:
     monkeypatch.setattr(coopmec.p1, "lp_solve",
                         lambda *args: seen.append(args) or real(*args))
     rng = np.random.default_rng(7)
-    for p in (desk_params(T=0.03), random_params(rng), random_params(rng, frac=0.999)):
+    instances = [desk_params(T=0.03), random_params(rng), random_params(rng, frac=0.999)]
+    # a certified solve runs about one recovery LP, so it takes a batch
+    instances += [random_params(rng) for _ in range(20)]
+    for p in instances:
         for scheme in ("joint-partial", "comp-binary", "comm-partial"):
             run_benchmark(scheme, p)
     return seen

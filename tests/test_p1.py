@@ -402,26 +402,29 @@ def _near_capacity_draw(seed: int, k: int):
 
 def test_joint_partial_certifies_seed_103_draw_13():
     # L = 0.999 of capacity: the run restarted again and again, and it
-    # ended nonconverged at the cap with no recoverable allocation. With the
-    # LP capacity L was one ulp larger and the solve certified 1.2311774782 J
-    # at gap 4.0e-7, a bracket that holds the energy pinned here
+    # ended nonconverged at the cap with no recoverable allocation. The
+    # ascent's own recovery certified 1.2311772195 J at gap 1.9e-7, a
+    # bracket [1.2311769903, 1.2311772195] that holds the face solve's
+    # energy pinned here
     p = _near_capacity_draw(103, 13)
     rep = solve_p1(p)
     _assert_certified(rep, p)
     assert rep.iterations < MAX_ITER
-    assert rep.energy == pytest.approx(1.2311772191, rel=1e-9)
+    assert rep.energy == pytest.approx(1.2311769903, rel=1e-9)
 
 
 def test_comp_partial_certifies_seed_105_draw_8():
     # L = 0.9999 of the comp-partial capacity l_u_max + l_h_max: the same
-    # ending, nonconverged at the cap with no recoverable allocation
+    # ending, nonconverged at the cap with no recoverable allocation. The
+    # ascent's own recovery certified 3.7184001538 J at gap 4.9e-8, a
+    # bracket [3.7183999725, 3.7184001538] that holds the energy pinned here
     p = _near_capacity_draw(105, 8)
     cap = lmax_binary(p)
     p = replace(p, L=0.9999 * (cap.l_u_max + cap.l_h_max))
     rep = run_benchmark("comp-partial", p)
     _assert_certified(rep, p)
     assert rep.iterations < MAX_ITER
-    assert rep.energy == pytest.approx(3.7184001530, rel=1e-9)
+    assert rep.energy == pytest.approx(3.7183999725, rel=1e-9)
 
 
 @pytest.mark.parametrize("rest,label", [
@@ -483,6 +486,28 @@ def test_one_ellipsoid_run_per_solve(monkeypatch, rest, label, frac, desk):
     assert rep.ok
     assert len(runs) == 1
     assert rep.iterations == runs[0].iterations < MAX_ITER
+
+
+def test_rejected_face_solve_keeps_the_run_ascending(monkeypatch):
+    # the first KKT check is the first checkpoint's face solve; failing it
+    # discards that answer, the ascent goes on, and a later checkpoint
+    # certifies under the full certificate
+    p = desk_params(T=0.05)
+    clean = solve_p1(p)
+    real = coopmec.p1.max_kkt_residual
+    calls = []
+
+    def first_fails(a, d, p):
+        calls.append(d)
+        return np.inf if len(calls) == 1 else real(a, d, p)
+
+    monkeypatch.setattr(coopmec.p1, "max_kkt_residual", first_fails)
+    runs = _count_runs(monkeypatch)
+    rep = solve_p1(p)
+    assert len(runs) == 1 and runs[0].converged and len(calls) > 1
+    assert clean.iterations < rep.iterations < MAX_ITER
+    assert rep.status == STATUS_OPTIMAL
+    _assert_certified(rep, p)
 
 
 def test_uncertified_run_ends_at_the_cap_with_the_best_point(monkeypatch):
