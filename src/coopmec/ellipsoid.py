@@ -27,11 +27,13 @@ Ag_j Ag_i in floating point), so no re-symmetrization is needed.
 
 An optional checkpoint lets the caller stop the run on its own
 certificate: on an objective cut, each time the relative gap bound
-sqrt(g' A g) / |best value| first drops below a new decade (1e-3, then
-1e-4, and so on), checkpoint(center, best_point, best_value) is called
-once, and a True return ends the run as converged. The center is the
-point that just took the objective cut, so it passed the oracle's
-feasibility checks. When the shape matrix breaks down (g' A g not
+sqrt(g' A g) / |best value| first drops below a new decade (1, then
+0.1, and so on), checkpoint(center, best_point, best_value) is called
+once, and a True return ends the run as converged. They start at 1: a
+caller that solves on the face a checkpoint shows needs no more, and an
+early checkpoint costs a rejected check, not a wrong answer. The center
+is the point that just took the objective cut, so it passed the
+oracle's feasibility checks. When the shape matrix breaks down (g' A g not
 positive, or not finite), the run restarts around the best point, which
 leaves the gap bound too wide for any later decade; so before each
 restart the checkpoint is also called, as checkpoint(best_point,
@@ -89,7 +91,8 @@ def ellipsoid_run(
     init_radius may be a scalar or a per-coordinate vector; the initial
     ellipsoid is the axis-aligned one diag(radius^2) around init_center
     and must contain an optimum. The run takes max_iter iterations unless
-    checkpoint (called as the module docstring describes) returns True or
+    checkpoint (called once per decade of the relative gap bound from 1
+    down, as the module docstring describes) returns True or
     a zero supergradient shows the center is a maximizer; either ends it
     with converged=True. Numerical loss of positive definiteness restarts
     the search around the best point with doubled radius; the checkpoint
@@ -110,7 +113,7 @@ def ellipsoid_run(
     it = 0
     # the relative gap bound below which the checkpoint fires next; 0.0
     # never fires (no checkpoint, or every representable decade passed)
-    decade = 1e-3 if checkpoint is not None else 0.0
+    decade = 1.0 if checkpoint is not None else 0.0
 
     # deep-cut update A <- shrink (1 - alpha^2) (A - step (1 + n alpha)/(1 + alpha)
     # (Ag)(Ag)') for n > 1; every factor is exactly 1.0 at alpha = 0

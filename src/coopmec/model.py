@@ -196,18 +196,22 @@ def l_h_max(p: SystemParams) -> float:
     return _tau1_b(p) * r01(p.P_u_max, p)
 
 
-def _ap_rate(p: SystemParams) -> float:
-    # rho_a: AP bits per second of the time the relay and the AP CPU share
+def _ap_route(p: SystemParams):
+    # rho_a: AP bits per second of the time the relay and the AP CPU share,
+    # the route that attains it ("decode" for a <= b, "direct", "relay",
+    # or None where the last two tie), and a, b, c
     a, b, c = r01(p.P_u_max, p), r0(p.P_u_max, p), r1(p.P_h_max, p)
     k = p.c_a / p.f_a_max
     if a <= b:
-        return a / (1.0 + k * a)
+        return a / (1.0 + k * a), "decode", a, b, c
+    direct = b / (1.0 + k * b)
     relay = a / (1.0 + (a - b) / c + k * a) if c > 0.0 else 0.0
-    return max(b / (1.0 + k * b), relay)
+    route = "direct" if direct > relay else "relay" if relay > direct else None
+    return max(direct, relay), route, a, b, c
 
 
 def l_a_max(p: SystemParams) -> float:
-    return p.T * _ap_rate(p)
+    return p.T * _ap_route(p)[0]
 
 
 @dataclass(frozen=True)
@@ -243,7 +247,26 @@ def lmax_partial(p: SystemParams) -> float:
     Its slope in tau1 is r01(P_u_max) - rho_a > 0 below tau1_b and
     negative above, so tau1 = tau1_b: l_u_max + l_h_max + (T - tau1_b) rho_a.
     """
-    return l_u_max(p) + l_h_max(p) + (p.T - _tau1_b(p)) * _ap_rate(p)
+    return l_u_max(p) + l_h_max(p) + (p.T - _tau1_b(p)) * _ap_route(p)[0]
+
+
+def capacity_point(p: SystemParams, helper: bool = True, relay: bool = True):
+    """The one allocation that carries the open routes' capacity, its bits
+    summing float for float to that capacity: l_u = l_u_max; with the
+    helper tau1 = tau1_b, l_h = l_h_max; with the relay, the rho_a route
+    over T - tau1; each used slot at its power cap. None if not unique: a
+    tie of direct link and relay, or r01(P_u_max) = rho_a with the helper."""
+    rho, route, a, b, c = _ap_route(p) if relay else (0.0, "decode", 0.0, 0.0, 0.0)
+    if route is None or (helper and r01(p.P_u_max, p) == rho):
+        return None
+    tau1 = _tau1_b(p) if helper else 0.0
+    l_a = (p.T - tau1) * rho
+    tau2 = l_a / (b if route == "direct" else a) if l_a > 0.0 else 0.0
+    tau3 = (l_a - tau2 * b) / c if route == "relay" and l_a > 0.0 else 0.0
+    return Allocation.build(
+        p, tau1=tau1, tau2=tau2, tau3=tau3, P1=p.P_u_max * (tau1 > 0.0),
+        P2=p.P_u_max * (tau2 > 0.0), P3=p.P_h_max * (tau3 > 0.0),
+        l_u=l_u_max(p), l_h=l_h_max(p) if helper else 0.0, l_a=l_a)
 
 
 def local_compute_energy(l: float, window: float, kappa: float, c: float) -> float:

@@ -4,7 +4,8 @@ solve_p1 runs the full three-route problem; the same machinery with a
 route pinned off (see dual.Restriction) powers the comp-partial and
 comm-partial benchmark schemes. A solve stops at the first checkpoint of
 the ascent where the KKT system on the face its recovery shows solves to
-a certified point, usually the first one.
+a certified point, usually the first one. At L = capacity the answer is
+the capacity vertex (model.capacity_point), with no ascent.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .model import (
     Allocation,
     ConstraintReport,
     SystemParams,
+    capacity_point,
     check_feasible,
     fits,
     inv_rate_power,
@@ -164,17 +166,18 @@ def _make_oracle(p: SystemParams, rest: Restriction):
     return oracle
 
 
-def certify(alloc: Allocation, d: DualPoint, dual_bound: float, p: SystemParams,
-            label: str) -> SolveReport:
+def certify(alloc: Allocation, d: DualPoint | None, dual_bound: float,
+            p: SystemParams, label: str) -> SolveReport:
     """The report of an allocation with its certificate: the gap itself
     (energy minus a dual value bounds the distance to the optimum by weak
     duality), the feasibility of the allocation and its KKT residual at
-    the dual point d. `optimal` means all three hold."""
+    the dual point d. `optimal` means all three hold. With d None the
+    allocation is the only feasible point, and its energy is the bound."""
     energy = total_energy(alloc, p)
     feas = check_feasible(alloc, p)
     gap = _rel_gap(energy, dual_bound)
-    holds = (gap <= GAP_TOL and feas.feasible(FEAS_TOL)
-             and max_kkt_residual(alloc, d, p) <= CHECKPOINT_KKT_TOL)
+    holds = (gap <= GAP_TOL and feas.feasible(FEAS_TOL) and (
+        d is None or max_kkt_residual(alloc, d, p) <= CHECKPOINT_KKT_TOL))
     return SolveReport(
         status=STATUS_OPTIMAL if holds else STATUS_NONCONVERGED,
         energy=energy, allocation=alloc, dual=d, duality_gap=gap,
@@ -382,21 +385,26 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
     """Dual ascent + recovery for the (possibly pinned) convex problem.
 
     Assumes the instance is feasible for the restriction; callers do the
-    capacity check. One ellipsoid run maximizes the dual, and it stops on
-    the certificate: every time its gap bound drops a decade, the primal
-    is recovered at the ellipsoid's center, then at the best dual point.
-    The KKT solve on each recovery's face (_face_solve) is certified
-    against the dual value at its own prices; failing that, the recovery
-    is certified against the best dual value. The run ends at the first
-    `optimal` report (gap within GAP_TOL, feasible, KKT residual within
-    CHECKPOINT_KKT_TOL). Each breakdown of the ellipsoid (near capacity)
-    triggers the same check at the best point before the restart, and a
-    point the previous check rejected is not recovered again. A run that
-    never certifies ends at MAX_ITER with the same check at the best
-    point, `nonconverged` unless it holds.
+    capacity check. At capacity the report is the capacity vertex, where
+    it is unique: the one feasible point (gap 0.0, no dual, 0 iterations).
+    Otherwise one ellipsoid run maximizes the dual, and it stops on the
+    certificate: every time its gap bound drops a decade (from 1 down),
+    the primal is recovered at the ellipsoid's center, then at the best
+    dual point. The KKT solve on each recovery's face (_face_solve) is
+    certified against the dual value at its own prices; failing that, the
+    recovery is certified against the best dual value. The run ends at
+    the first `optimal` report (gap within GAP_TOL, feasible, KKT residual
+    within CHECKPOINT_KKT_TOL). Each breakdown of the ellipsoid (near
+    capacity) triggers the same check at the best point before the
+    restart, and a point the previous check rejected is not recovered
+    again. A run that never certifies ends at MAX_ITER with the same
+    check at the best point, `nonconverged` unless it holds.
     """
     if p.L == 0.0:
         return certify(Allocation.zero(p), DualPoint(0, 0, 0, 0, 0), 0.0, p, label)
+    vertex = capacity_point(p, rest.helper_path, rest.relay_path)
+    if vertex is not None and p.L >= vertex.l_u + vertex.l_h + vertex.l_a:
+        return certify(vertex, None, total_energy(vertex, p), p, label)
 
     def report_at(point: np.ndarray, dual_bound: float) -> SolveReport | None:
         # the face solve's report if it certifies, else the recovery's;

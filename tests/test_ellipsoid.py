@@ -281,9 +281,9 @@ def bowl_oracle(x):
 
 
 @pytest.mark.parametrize("center,radius,first_decade", [
-    # a wide start crosses 1e-3 first; a tight one starts below 1e-8 and
-    # skips the decades it has already passed
-    (np.zeros(2), 4.0, -4),
+    # the decades start at 1: a wide start crosses 1 first; a tight one
+    # starts below 1e-8 and skips the decades it has already passed
+    (np.zeros(2), 4.0, -1),
     (np.array([1.0001, -2.0001]), 1e-4, -9),
 ])
 def test_checkpoint_fires_once_per_decade(center, radius, first_decade):
@@ -313,7 +313,7 @@ def test_checkpoint_fires_once_per_decade(center, radius, first_decade):
     # the relative gap bound after each iteration, from runs cut there
     rel = [None] + [r.gap_bound / abs(r.best_value)
                     for r in map(run, range(1, iters + 1))]
-    expected, decade = [], 1e-3
+    expected, decade = [], 1.0
     for k in range(1, iters + 1):
         if rel[k] <= decade:
             expected.append(k)

@@ -25,9 +25,10 @@ from coopmec.ellipsoid import (  # noqa: E402
 from test_ellipsoid import textbook_run  # noqa: E402
 
 TOL = 1e-7
-#: the checkpoint call that stops a run: the k-th call comes once the
-#: relative gap bound is at most 1e-(2 + k), so the 5th one at TOL
-STOP_CALL = 5
+#: the checkpoint call that stops a run: the decades start at 1, so the
+#: k-th call comes once the relative gap bound is at most 1e-(k - 1), and
+#: the 8th one at TOL
+STOP_CALL = 8
 
 
 def quadratic_program(n: int, seed: int):

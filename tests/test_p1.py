@@ -3,10 +3,20 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
+import coopmec.model
 import coopmec.p1
 from coopmec.bench import run_benchmark
 from coopmec.dual import FULL, DualPoint, Restriction, solve_sub2, solve_sub3
-from coopmec.model import check_feasible, lmax_binary, r0, r01, r1, total_energy
+from coopmec.model import (
+    capacity_point,
+    check_feasible,
+    l_u_max,
+    lmax_binary,
+    r0,
+    r01,
+    r1,
+    total_energy,
+)
 from coopmec.oracle import max_kkt_residual, oracle_p11
 from coopmec.p1 import (
     GAP_TOL,
@@ -21,6 +31,8 @@ from coopmec.p1 import (
     solve_restricted,
 )
 from conftest import desk_params, random_params
+
+EPS = np.finfo(float).eps
 
 
 def test_lmax_tiny_block():
@@ -47,9 +59,15 @@ def test_lmax_increasing_in_T_and_above_local():
 
 
 def _lmax_highs(p, pinned=()) -> float:
-    """A capacity from scipy's HiGHS, written with inequalities only: every
-    route, CPU and the block within its limits, and the bits named in
-    `pinned` (of l_u, l_h, l_a) held at zero with the slots that carry them."""
+    """A capacity from scipy's HiGHS (see _capacity_lp_highs)."""
+    return -_capacity_lp_highs(p, pinned).fun
+
+
+def _capacity_lp_highs(p, pinned=()):
+    """The capacity LP solved by scipy's HiGHS, written with inequalities
+    only: every route, CPU and the block within its limits, and the bits
+    named in `pinned` (of l_u, l_h, l_a) held at zero with the slots that
+    carry them. Its x is (tau1, tau2, tau3, l_u, l_h, l_a)."""
     linprog = pytest.importorskip("scipy.optimize").linprog
     r01m, r0m, r1m = r01(p.P_u_max, p), r0(p.P_u_max, p), r1(p.P_h_max, p)
     # vars: tau1, tau2, tau3, l_u, l_h, l_a
@@ -68,7 +86,7 @@ def _lmax_highs(p, pinned=()) -> float:
     res = linprog([0.0, 0.0, 0.0, -1.0, -1.0, -1.0], A_ub=A_ub, b_ub=b_ub,
                   bounds=bounds, method="highs")
     assert res.status == 0
-    return -res.fun
+    return res
 
 
 #: the bits each dual-pipeline scheme holds at zero, in _lmax_highs' terms
@@ -127,7 +145,11 @@ def test_bits_rescaled_scale_every_capacity(k):
 
 def test_bits_rescaled_keep_status_and_energy():
     # the same problem in other bit units: each certificate brackets the
-    # one optimum, so two certified energies differ by at most their gaps
+    # one optimum, so two certified energies differ by at most their gaps.
+    # A face-solved gap is itself rounding (about 1e-16), and each energy
+    # is a sum of a few terms computed in floating point, so each can sit
+    # a few ulps from its exact value: 4 eps of max(E, E_k) for each of
+    # the two, 8 eps in all
     rng = np.random.default_rng(1234)
     for p in [random_params(rng) for _ in range(4)]:
         for scheme in ("joint-partial", "comp-partial", "comm-binary"):
@@ -136,7 +158,8 @@ def test_bits_rescaled_keep_status_and_energy():
                 rep_k = run_benchmark(scheme, _rescaled_bits(p, k))
                 assert rep_k.status == rep.status
                 if rep.ok:
-                    bound = rep.duality_gap * rep.energy + rep_k.duality_gap * rep_k.energy
+                    bound = (rep.duality_gap * rep.energy + rep_k.duality_gap * rep_k.energy
+                             + 8.0 * EPS * max(rep.energy, rep_k.energy))
                     assert abs(rep.energy - rep_k.energy) <= bound
 
 
@@ -306,9 +329,13 @@ def _scheme_capacity(p, scheme: str) -> float:
 
 def _assert_certified(rep, p):
     assert rep.ok
-    assert rep.duality_gap <= GAP_TOL
-    assert max_kkt_residual(rep.allocation, rep.dual, p) <= 1e-6
     assert check_feasible(rep.allocation, p).feasible(1e-9)
+    if rep.dual is None:
+        # the capacity vertex: the only feasible point, with no ascent
+        assert rep.iterations == 0 and rep.duality_gap == 0.0
+    else:
+        assert rep.duality_gap <= GAP_TOL
+        assert max_kkt_residual(rep.allocation, rep.dual, p) <= 1e-6
 
 
 def _certified_at_fraction(scheme: str, frac: float, **desk):
@@ -360,22 +387,19 @@ EDGE_TEMPLATES = {
 }
 
 
+#: the schemes of the dual pipeline, solve_restricted with a restriction
+PARTIAL_SCHEMES = ("joint-partial", "comp-partial", "comm-partial")
+
+
 @pytest.mark.parametrize("scheme,template", [
-    ("comm-partial", "direct-link-strong"),
-    ("comm-partial", "helper-near-ap"),
-    ("comm-partial", "random"),
-    ("comp-partial", "helper-near-user"),
-    ("comp-partial", "random"),
-    ("joint-partial", "helper-near-ap"),
-    ("joint-partial", "helper-near-user"),
-    ("joint-partial", "random"),
-])
+    (scheme, template) for scheme in PARTIAL_SCHEMES for template in EDGE_TEMPLATES])
 def test_certifies_at_capacity_before_the_cap(monkeypatch, scheme, template):
-    # at L = capacity the shape matrix loses positive definiteness and the
-    # run restarts; these ran to MAX_ITER while the recovery at the best
-    # point, offered to the checkpoint only after the cap, already
-    # certified. A breakdown offers the best point as the center too, and
-    # no dual point is recovered twice
+    # at L = capacity the feasible set is one point, every CPU and used
+    # transmitter at its cap. Eight of these ops ran to MAX_ITER on an
+    # unbounded dual, and later certified at a breakdown checkpoint after
+    # 164-765 iterations (test_breakdown_checkpoint_certifies_before_the_cap
+    # covers that checkpoint). The report is that point, with no ascent
+    # and no recovery, exactly feasible, and the capacity LP's unique optimum
     recovered = []
     real = coopmec.p1.recover_primal
     monkeypatch.setattr(coopmec.p1, "recover_primal",
@@ -383,9 +407,66 @@ def test_certifies_at_capacity_before_the_cap(monkeypatch, scheme, template):
     p = EDGE_TEMPLATES[template]()
     p = replace(p, L=_scheme_capacity(p, scheme))
     rep = run_benchmark(scheme, p)
+    assert rep.status == STATUS_OPTIMAL and rep.iterations == 0 and not recovered
+    assert rep.dual is None and rep.duality_gap == 0.0
+    assert rep.feasibility.max_violation <= 1e-14
+    a = rep.allocation
+    assert a.l_u + a.l_h + a.l_a == p.L  # the capacity, float for float
+    x = _capacity_lp_highs(p, SCHEME_PINS[scheme]).x
+    got = (a.tau1, a.tau2, a.tau3, a.l_u, a.l_h, a.l_a)
+    for v, ref in zip(got, x):
+        assert v == pytest.approx(ref, rel=1e-9, abs=1e-12 * max(p.L, p.T))
+    assert rep.energy == total_energy(a, p)
+
+
+@pytest.mark.parametrize("scheme", PARTIAL_SCHEMES)
+def test_capacity_vertex_within_the_fits_allowance(scheme):
+    # within fits' 1e-12 above capacity the vertex carries all but the
+    # task's excess, which is the partition residual: 1e-12 up to the
+    # rounding of L (one ulp of L is 2e-4 of the excess); 1e-11 above
+    # capacity the task does not fit
+    p = EDGE_TEMPLATES["random"]()
+    cap = _scheme_capacity(p, scheme)
+    q = replace(p, L=cap * (1.0 + 1e-12))
+    rep = run_benchmark(scheme, q)
+    assert rep.status == STATUS_OPTIMAL and rep.iterations == 0
+    assert rep.feasibility.residuals["bit_partition"] == (q.L - cap) / q.L <= 1.001e-12
+    assert run_benchmark(scheme, replace(p, L=cap * (1.0 + 1e-11))).status == STATUS_INFEASIBLE
+
+
+def test_capacity_vertex_certifies_the_batch_at_capacity():
+    # the frac-1 draws of the near-capacity batch (draws 3, 9, 15, 21 of
+    # seeds 100-105): each ascended an unbounded dual to a breakdown, and
+    # each is now the vertex, within 1e-14 of every row
+    for seed in range(100, 106):
+        for k in (3, 9, 15, 21):
+            p0 = _near_capacity_draw(seed, k)
+            for scheme in PARTIAL_SCHEMES:
+                p = replace(p0, L=_scheme_capacity(p0, scheme))
+                rep = run_benchmark(scheme, p)
+                _assert_certified(rep, p)
+                assert rep.dual is None
+                assert rep.feasibility.max_violation <= 1e-14
+
+
+def test_capacity_vertex_yields_to_the_ascent_where_it_is_not_unique(monkeypatch):
+    # dead channels give r01(P_u_max) = rho_a = 0, so any tau1 carries the
+    # helper's zero bits; without the helper the vertex is all-local
+    dead = desk_params(T=0.05, h01=1e-30, h0=1e-30, h1=1e-30)
+    assert capacity_point(dead) is None
+    assert capacity_point(dead, helper=False).l_u == l_u_max(dead)
+    # a tie of the direct link and the relay leaves a segment of AP
+    # routes: the ascent answers, as it did before the vertex
+    real = coopmec.model._ap_route
+    monkeypatch.setattr(coopmec.model, "_ap_route",
+                        lambda p: (real(p)[0], None, *real(p)[2:]))
+    p = desk_params(T=0.05)
+    p = replace(p, L=lmax_partial(p))
+    assert capacity_point(p) is None
+    runs = _count_runs(monkeypatch)
+    rep = solve_p1(p)
     _assert_certified(rep, p)
-    assert rep.iterations < MAX_ITER
-    assert len(set(recovered)) == len(recovered)
+    assert len(runs) == 1 and rep.iterations > 0 and rep.dual is not None
 
 
 #: the fractions of capacity the near-capacity random draws cycle through
@@ -475,7 +556,8 @@ def _count_runs(monkeypatch):
     (FULL, "joint-partial", 0.5, {}),
     (Restriction(relay_path=False), "comp-partial", 0.5, {}),
     (Restriction(helper_path=False), "comm-partial", 0.5, {}),
-    # at capacity: the shape matrix breaks down and the run restarts
+    # at capacity the vertex answers with no run (a run that restarts is
+    # in test_breakdown_checkpoint_certifies_before_the_cap)
     (Restriction(helper_path=False), "comm-partial", 1.0, {"D": 240.0}),
 ])
 def test_one_ellipsoid_run_per_solve(monkeypatch, rest, label, frac, desk):
@@ -484,8 +566,36 @@ def test_one_ellipsoid_run_per_solve(monkeypatch, rest, label, frac, desk):
     runs = _count_runs(monkeypatch)
     rep = solve_restricted(p, rest, label)
     assert rep.ok
-    assert len(runs) == 1
-    assert rep.iterations == runs[0].iterations < MAX_ITER
+    assert len(runs) == (frac < 1.0)
+    assert rep.iterations == sum(r.iterations for r in runs) < MAX_ITER
+
+
+@pytest.mark.parametrize("seed,k", [(100, 8), (103, 14)])
+def test_breakdown_checkpoint_certifies_before_the_cap(monkeypatch, seed, k):
+    # joint-partial at 0.9999 of capacity (near-capacity batch draws): the
+    # shape matrix breaks down and the run restarts. Each breakdown offers
+    # the best point to the checkpoint as the center too, no dual point is
+    # recovered twice, and the one run certifies before the cap
+    recovered, breakdowns = [], []
+    real_recover = coopmec.p1.recover_primal
+    monkeypatch.setattr(coopmec.p1, "recover_primal",
+                        lambda d, p, rest: recovered.append(d) or real_recover(d, p, rest))
+    real_run = coopmec.p1.ell.ellipsoid_run
+
+    def run(*args, checkpoint, **kwargs):
+        def watched(center, point, value):
+            breakdowns.append(center is point)
+            return checkpoint(center, point, value)
+        return real_run(*args, checkpoint=watched, **kwargs)
+
+    monkeypatch.setattr(coopmec.p1.ell, "ellipsoid_run", run)
+    runs = _count_runs(monkeypatch)
+    p = _near_capacity_draw(seed, k)
+    rep = solve_p1(p)
+    _assert_certified(rep, p)
+    assert len(runs) == 1 and rep.iterations < MAX_ITER
+    assert any(breakdowns)
+    assert len(set(recovered)) == len(recovered)
 
 
 def test_rejected_face_solve_keeps_the_run_ascending(monkeypatch):
