@@ -93,15 +93,21 @@ class SubproblemSolution:
     M1: float          # helper compute rate l_h/(T - tau1), bits/s
 
 
-def _clip(x: float, lo: float, hi: float) -> float:
-    return min(hi, max(lo, x))
+# -- the closed forms, on floats ---------------------------------------------
+#
+# Each subproblem is solved once here, from the prices it reads; the
+# evaluator, the face solve of p1 and the dict views below all call these.
+# Rates go through the model's rate functions.
 
 
-# -- subproblem 1: user->helper offload energy + helper computing ----------
+def _clip(x: float, hi: float) -> float:
+    # min(hi, max(0.0, x)) for hi > 0, float for float, without the calls
+    return (x if x < hi else hi) if x > 0.0 else 0.0
 
 
-def solve_sub1(d: DualPoint, p: SystemParams) -> dict:
-    """Minimize E1 + mu1*tau1 - lam1*tau1*r01(E1/tau1)
+def sub1(lam1: float, mu1: float, mu2: float, p: SystemParams) -> tuple:
+    """(P1, M1, r01(P1), rho1, tau1, value) of subproblem 1: minimize
+    E1 + mu1*tau1 - lam1*tau1*r01(E1/tau1)
     + kappa_h c_h^3 l_h^3/(T-tau1)^2 + (lam1-mu2) l_h
     over 0 <= E1 <= tau1 P_u_max, 0 <= tau1 <= T, c_h l_h <= (T-tau1) f_h_max.
 
@@ -109,96 +115,96 @@ def solve_sub1(d: DualPoint, p: SystemParams) -> dict:
     tau1*price_on + (T-tau1)*price_off, linear in tau1, so tau1* is
     bang-bang on the sign of rho1 = price_on - price_off.
     """
-    _require_signs(d)
-    P1 = _clip(d.lam1 * p.B / LN2 - 1.0 / p.g01, 0.0, p.P_u_max)
-    m_cap = p.f_h_max / p.c_h
-    k3 = 3.0 * p.kappa_h * p.c_h**3
-    gain = d.mu2 - d.lam1
-    M1 = _clip(math.sqrt(gain / k3), 0.0, m_cap) if gain >= 0.0 else 0.0
-
+    P1 = _clip(lam1 * p.B / LN2 - 1.0 / p.g01, p.P_u_max)
+    gain = mu2 - lam1
+    ch3 = p.c_h**3
+    M1 = _clip(math.sqrt(gain / (3.0 * p.kappa_h * ch3)), p.f_h_max / p.c_h) if gain >= 0.0 else 0.0
     rate1 = r01(P1, p)
-    price_on = P1 + d.mu1 - d.lam1 * rate1
-    price_off = p.kappa_h * p.c_h**3 * M1**3 - gain * M1
+    price_on = P1 + mu1 - lam1 * rate1
+    price_off = p.kappa_h * ch3 * M1**3 - gain * M1
     rho1 = price_on - price_off
-
-    tau1 = p.T if rho1 < 0.0 else 0.0
-    return {
-        "P1": P1,
-        "M1": M1,
-        "tau1": tau1,
-        "l_h": M1 * (p.T - tau1),
-        "rho1": rho1,
-        "value": tau1 * price_on + (p.T - tau1) * price_off,
-        "r01": rate1,
-    }
+    T = p.T
+    tau1 = T if rho1 < 0.0 else 0.0
+    return P1, M1, rate1, rho1, tau1, tau1 * price_on + (T - tau1) * price_off
 
 
-# -- subproblem 2: user broadcast slot --------------------------------------
-
-
-def solve_sub2(d: DualPoint, p: SystemParams) -> dict:
-    """Minimize E2 + mu1*tau2 - lam2*tau2*r0(E2/tau2) - lam3*tau2*r01(E2/tau2)
+def sub2(lam2: float, lam3: float, mu1: float, p: SystemParams) -> tuple:
+    """(P2, r0(P2), r01(P2), rho2, tau2, value) of subproblem 2: minimize
+    E2 + mu1*tau2 - lam2*tau2*r0(E2/tau2) - lam3*tau2*r01(E2/tau2)
     over 0 <= E2 <= tau2 P_u_max, 0 <= tau2 <= T.
 
     The per-second cost phi(P2) = P2 - lam2 r0(P2) - lam3 r01(P2) is convex;
     its stationary point solves u P^2 + v P + w = 0.
     """
-    _require_signs(d)
-    g0, g01 = p.g0, p.g01
-    u = (LN2 / p.B) * g0 * g01
-    v = (LN2 / p.B) * (g0 + g01) - (d.lam2 + d.lam3) * g0 * g01
-    w = LN2 / p.B - d.lam2 * g0 - d.lam3 * g01
-
-    def phi(P: float, rate_ap: float, rate_h: float) -> float:
-        # the per-second cost at power P, given r0(P) and r01(P)
-        return P - d.lam2 * rate_ap - d.lam3 * rate_h
-
+    g0, g01, Pm, k = p.g0, p.g01, p.P_u_max, LN2 / p.B
+    u = k * g0 * g01
+    v = k * (g0 + g01) - (lam2 + lam3) * g0 * g01
+    w = k - lam2 * g0 - lam3 * g01
     disc = v * v - 4.0 * u * w
     if disc < 0.0:
         # no stationary point: the derivative is single-signed, so the
-        # minimum sits at an endpoint of the power box (both rates are 0
-        # at zero power)
-        Pm = p.P_u_max
-        P2 = 0.0 if phi(0.0, 0.0, 0.0) <= phi(Pm, r0(Pm, p), r01(Pm, p)) else Pm
+        # minimum sits at an endpoint of the power box (phi(0) = 0: both
+        # rates are 0 at zero power)
+        P2 = 0.0 if 0.0 <= Pm - lam2 * r0(Pm, p) - lam3 * r01(Pm, p) else Pm
     elif w >= 0.0:
         P2 = 0.0  # derivative already nonnegative at zero power
     else:
-        P2 = _clip((math.sqrt(disc) - v) / (2.0 * u), 0.0, p.P_u_max)
-
+        P2 = _clip((math.sqrt(disc) - v) / (2.0 * u), Pm)
     rate_ap, rate_h = r0(P2, p), r01(P2, p)
-    rho2 = d.mu1 + phi(P2, rate_ap, rate_h)
+    rho2 = mu1 + (P2 - lam2 * rate_ap - lam3 * rate_h)
     tau2 = p.T if rho2 < 0.0 else 0.0
-    return {"P2": P2, "tau2": tau2, "rho2": rho2, "value": tau2 * rho2,
+    return P2, rate_ap, rate_h, rho2, tau2, tau2 * rho2
+
+
+def sub3(lam2: float, mu1: float, p: SystemParams) -> tuple:
+    """(P3, r1(P3), rho3, tau3, value) of subproblem 3: minimize
+    E3 + mu1*tau3 - lam2*tau3*r1(E3/tau3)
+    over 0 <= E3 <= tau3 P_h_max, 0 <= tau3 <= T.
+    """
+    P3 = _clip(lam2 * p.B / LN2 - 1.0 / p.g1, p.P_h_max)
+    rate3 = r1(P3, p)
+    rho3 = mu1 + P3 - lam2 * rate3
+    tau3 = p.T if rho3 < 0.0 else 0.0
+    return P3, rate3, rho3, tau3, tau3 * rho3
+
+
+def sub4(mu2: float, p: SystemParams) -> float:
+    """l_u of subproblem 4: minimize kappa_u c_u^3 l_u^3/T^2 - mu2 l_u
+    over c_u l_u <= T f_u_max."""
+    if mu2 <= 0.0:
+        return 0.0
+    return _clip(p.T * math.sqrt(mu2 / (3.0 * p.kappa_u * p.c_u**3)), l_u_max(p))
+
+
+# -- the subproblems as dicts, one per dual point ---------------------------
+
+
+def solve_sub1(d: DualPoint, p: SystemParams) -> dict:
+    """Subproblem 1 (see sub1) at d, with l_h = M1 (T - tau1)."""
+    _require_signs(d)
+    P1, M1, rate1, rho1, tau1, value = sub1(d.lam1, d.mu1, d.mu2, p)
+    return {"P1": P1, "M1": M1, "tau1": tau1, "l_h": M1 * (p.T - tau1),
+            "rho1": rho1, "value": value, "r01": rate1}
+
+
+def solve_sub2(d: DualPoint, p: SystemParams) -> dict:
+    """Subproblem 2 (see sub2) at d."""
+    _require_signs(d)
+    P2, rate_ap, rate_h, rho2, tau2, value = sub2(d.lam2, d.lam3, d.mu1, p)
+    return {"P2": P2, "tau2": tau2, "rho2": rho2, "value": value,
             "r0": rate_ap, "r01": rate_h}
 
 
-# -- subproblem 3: helper forward slot ---------------------------------------
-
-
 def solve_sub3(d: DualPoint, p: SystemParams) -> dict:
-    """Minimize E3 + mu1*tau3 - lam2*tau3*r1(E3/tau3)
-    over 0 <= E3 <= tau3 P_h_max, 0 <= tau3 <= T.
-    """
+    """Subproblem 3 (see sub3) at d."""
     _require_signs(d)
-    P3 = _clip(d.lam2 * p.B / LN2 - 1.0 / p.g1, 0.0, p.P_h_max)
-    rate3 = r1(P3, p)
-    rho3 = d.mu1 + P3 - d.lam2 * rate3
-    tau3 = p.T if rho3 < 0.0 else 0.0
-    return {"P3": P3, "tau3": tau3, "rho3": rho3, "value": tau3 * rho3, "r1": rate3}
-
-
-# -- subproblem 4: local bits -------------------------------------------------
+    P3, rate3, rho3, tau3, value = sub3(d.lam2, d.mu1, p)
+    return {"P3": P3, "tau3": tau3, "rho3": rho3, "value": value, "r1": rate3}
 
 
 def solve_sub4(d: DualPoint, p: SystemParams) -> float:
-    """Minimize kappa_u c_u^3 l_u^3/T^2 - mu2 l_u over c_u l_u <= T f_u_max."""
-    if d.mu2 <= 0.0:
-        return 0.0
-    return _clip(
-        p.T * math.sqrt(d.mu2 / (3.0 * p.kappa_u * p.c_u**3)),
-        0.0,
-        l_u_max(p),
-    )
+    """Subproblem 4 (see sub4) at d: the local bits l_u."""
+    return sub4(d.mu2, p)
 
 
 # -- subproblem 5: AP bits ----------------------------------------------------
@@ -270,10 +276,10 @@ class Restriction:
 FULL = Restriction()
 
 
-# the blocks a restriction pins: their subproblems' minimizers are all zero
-_SUB1_OFF = {"P1": 0.0, "M1": 0.0, "tau1": 0.0, "l_h": 0.0, "value": 0.0, "r01": 0.0}
-_SUB2_OFF = {"P2": 0.0, "tau2": 0.0, "value": 0.0, "r0": 0.0, "r01": 0.0}
-_SUB3_OFF = {"P3": 0.0, "tau3": 0.0, "value": 0.0, "r1": 0.0}
+# the blocks a restriction pins, and the closed slots of a face solve: the
+# tuples of sub1/sub2/sub3 with every minimizer zero
+SUB1_OFF = SUB2_OFF = (0.0,) * 6
+SUB3_OFF = (0.0,) * 5
 
 
 def eval_dual_restricted(
@@ -284,37 +290,31 @@ def eval_dual_restricted(
     `rest` pins blocks of the primal (FULL pins none); the subgradient
     covers the active duals only, in `rest.active_duals` order. Its
     entries are the dualized-constraint residuals at the minimizer, with
-    tau*rate(E/tau) taken as 0 at tau = 0.
+    tau*rate(E/tau) taken as 0 at tau = 0. The closed forms are the float
+    kernels sub1-sub4, called once each, and d is checked once: a
+    negative price, or with the relay open a negative l_a coefficient,
+    raises DualInfeasibleError.
     """
-    if rest.relay_path and d.bounded_below_slack(p) < 0.0:
+    lam1, lam2, lam3, mu1, mu2 = d.lam1, d.lam2, d.lam3, d.mu1, d.mu2
+    if lam1 < 0.0 or lam2 < 0.0 or lam3 < 0.0 or mu1 < 0.0 or (
+            rest.relay_path and d.bounded_below_slack(p) < 0.0):
         raise DualInfeasibleError(f"dual point outside the feasible set: {d}")
-
-    s1 = solve_sub1(d, p) if rest.helper_path else _SUB1_OFF
-    if rest.relay_path:
-        s2 = solve_sub2(d, p)
-        s3 = solve_sub3(d, p)
-    else:
-        s2, s3 = _SUB2_OFF, _SUB3_OFF
-    l_u = solve_sub4(d, p)
+    P1, M1, r01_1, _, tau1, v1 = sub1(lam1, mu1, mu2, p) if rest.helper_path else SUB1_OFF
+    (P2, r0_2, r01_2, _, tau2, v2), (P3, r1_3, _, tau3, v3) = (
+        (sub2(lam2, lam3, mu1, p), sub3(lam2, mu1, p)) if rest.relay_path else (SUB2_OFF, SUB3_OFF))
+    l_u = sub4(mu2, p)
     # l_a = 0: pinned with the relay off, and solve_sub5's choice at the
     # nonnegative slack otherwise
     l_a = 0.0
+    T, L = p.T, p.L
+    l_h = M1 * (T - tau1)
 
-    v4 = p.kappa_u * p.c_u**3 * l_u**3 / p.T**2 - d.mu2 * l_u
-    g_value = s1["value"] + s2["value"] + s3["value"] + v4 - d.mu1 * p.T
-    g_value += d.mu2 * p.L
-
-    tau1, tau2, tau3, l_h = s1["tau1"], s2["tau2"], s3["tau3"], s1["l_h"]
+    v4 = p.kappa_u * p.c_u**3 * l_u**3 / T**2 - mu2 * l_u
+    g_value = (v1 + v2 + v3 + v4 - mu1 * T) + mu2 * L
     # positional, in field order: keywords cost time on every call
-    sol = SubproblemSolution(
-        tau1, tau2, tau3, l_u, l_h, l_a, s1["P1"], s2["P2"], s3["P3"], s1["M1"])
+    sol = SubproblemSolution(tau1, tau2, tau3, l_u, l_h, l_a, P1, P2, P3, M1)
     # residuals of the dualized constraints, in DUAL_NAMES order
-    full_sub = (
-        l_h - tau1 * s1["r01"],
-        l_a - tau2 * s2["r0"] - tau3 * s3["r1"],
-        l_a - tau2 * s2["r01"],
-        tau1 + tau2 + tau3 + l_a * p.c_a / p.f_a_max - p.T,
-        p.L - l_u - l_h - l_a,
-    )
-    sub = np.array([full_sub[i] for i in rest.active_index])
-    return g_value, sol, sub
+    full_sub = (l_h - tau1 * r01_1, l_a - tau2 * r0_2 - tau3 * r1_3, l_a - tau2 * r01_2,
+                tau1 + tau2 + tau3 + l_a * p.c_a / p.f_a_max - T, L - l_u - l_h - l_a)
+    idx = rest.active_index
+    return g_value, sol, np.array(full_sub if len(idx) == 5 else [full_sub[i] for i in idx])

@@ -20,10 +20,11 @@ degenerates. The cuts are valid only if the oracle's values are exact:
 a value reported above f(x) makes later cuts too deep. At alpha = 0 the
 update is the central cut, float for float.
 
-One product g' A g per iteration serves both the gap bound and the
-normalization of the cut (negating g leaves it unchanged bit for bit).
-The update A - c (Ag)(Ag)' keeps A exactly symmetric (Ag_i Ag_j =
-Ag_j Ag_i in floating point), so no re-symmetrization is needed.
+One product g' A g per iteration serves the gap bound, the cut's
+normalization (g / -sqrt(g'Ag) is -g / sqrt(g'Ag) bit for bit) and the
+test of g (a non-finite entry of g makes g' A g non-finite). The update
+A - c (Ag)(Ag)' runs in place, in the formula's order, and keeps A
+exactly symmetric (Ag_i Ag_j = Ag_j Ag_i in floating point).
 
 An optional checkpoint lets the caller stop the run on its own
 certificate: on an objective cut, each time the relative gap bound
@@ -96,7 +97,8 @@ def ellipsoid_run(
     a zero supergradient shows the center is a maximizer; either ends it
     with converged=True. Numerical loss of positive definiteness restarts
     the search around the best point with doubled radius; the checkpoint
-    gets that point first, and a True return ends the run there.
+    gets that point first, and a True return ends the run there. A cut
+    vector of the wrong shape or with a non-finite entry raises OracleError.
     """
     center = np.asarray(init_center, dtype=float).copy()
     n = center.size
@@ -119,14 +121,19 @@ def ellipsoid_run(
     # (Ag)(Ag)') for n > 1; every factor is exactly 1.0 at alpha = 0
     shrink = n**2 / (n**2 - 1.0) if n > 1 else 1.0
     step = 2.0 / (n + 1.0)
+    # the rank-1 update's buffers: A gt and (A gt)(A gt)'
+    Ag, outer = np.empty(n), np.empty((n, n))
     while it < max_iter:
         it += 1
         res = oracle(center)
         g = np.asarray(res.vector, dtype=float)
-        if g.shape != (n,) or not np.isfinite(g).all():
+        if g.shape != (n,):
             raise OracleError(f"bad cut vector {res.vector!r}")
         # the same float for the cut -g: negation is exact
         gAg = float(g @ A @ g)
+        # a finite gAg needs no finiteness test of g (module docstring)
+        if not math.isfinite(gAg) and not np.isfinite(g).all():
+            raise OracleError(f"bad cut vector {res.vector!r}")
 
         if res.kind == OBJECTIVE_CUT:
             if res.value > best_value:
@@ -148,11 +155,11 @@ def ellipsoid_run(
                 gap_bound = 0.0
                 break
             # keep the halfspace {z : g'(z - center) >= best - value}
-            cut, depth = -g, best_value - res.value
+            sign, depth = -1.0, best_value - res.value
         elif res.kind == FEASIBILITY_CUT:
             if not g.any():
                 raise OracleError("zero feasibility-cut vector")
-            cut, depth = g, res.violation
+            sign, depth = 1.0, res.violation
         else:
             raise OracleError(f"unknown cut kind {res.kind!r}")
 
@@ -167,14 +174,17 @@ def ellipsoid_run(
             continue
         root = math.sqrt(gAg)
         alpha = min(depth / root, DEEP_CUT_MAX) if depth > 0.0 else 0.0
-        Ag = A @ (cut / root)
+        np.matmul(A, g / (sign * root), out=Ag)  # A gt, gt = (sign g) / root
         if n == 1:
             center = center - (1.0 + alpha) * Ag / 2.0
             A = A * (0.5 * (1.0 - alpha)) ** 2
         else:
             center = center - (1.0 + n * alpha) * Ag / (n + 1.0)
-            A = (shrink * (1.0 - alpha * alpha)) * (
-                A - (step * (1.0 + n * alpha) / (1.0 + alpha)) * (Ag[:, None] * Ag))
+            # in place, each product in the order of the formula above
+            np.multiply(Ag[:, None], Ag, out=outer)
+            np.multiply(step * (1.0 + n * alpha) / (1.0 + alpha), outer, out=outer)
+            np.subtract(A, outer, out=A)
+            np.multiply(shrink * (1.0 - alpha * alpha), A, out=A)
 
     return EllipsoidResult(
         best_point=best_point,

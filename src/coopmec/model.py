@@ -255,9 +255,14 @@ def capacity_point(p: SystemParams, helper: bool = True, relay: bool = True):
     summing float for float to that capacity: l_u = l_u_max; with the
     helper tau1 = tau1_b, l_h = l_h_max; with the relay, the rho_a route
     over T - tau1; each used slot at its power cap. None if not unique: a
-    tie of direct link and relay, or r01(P_u_max) = rho_a with the helper."""
+    tie of direct link and relay, or r01(P_u_max) = rho_a with the helper.
+    A dead route closes first: the helper when r01(P_u_max) = 0, the relay
+    when rho_a = 0. The point is still the optimum then: at capacity every
+    feasible point has l_u = l_u_max, and a dead route carries no bits, so
+    no feasible point costs less."""
     rho, route, a, b, c = _ap_route(p) if relay else (0.0, "decode", 0.0, 0.0, 0.0)
-    if route is None or (helper and r01(p.P_u_max, p) == rho):
+    helper = helper and r01(p.P_u_max, p) > 0.0
+    if (route is None and rho > 0.0) or (helper and r01(p.P_u_max, p) == rho):
         return None
     tau1 = _tau1_b(p) if helper else 0.0
     l_a = (p.T - tau1) * rho

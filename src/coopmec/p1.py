@@ -11,7 +11,6 @@ the capacity vertex (model.capacity_point), with no ascent.
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,14 +18,17 @@ import numpy as np
 from . import ellipsoid as ell
 from .dual import (
     FULL,
+    SUB1_OFF,
+    SUB2_OFF,
+    SUB3_OFF,
     DualInfeasibleError,
     DualPoint,
     Restriction,
+    sub1,
+    sub2,
+    sub3,
+    sub4,
     eval_dual_restricted,
-    solve_sub1,
-    solve_sub2,
-    solve_sub3,
-    solve_sub4,
 )
 from .lp import lp_solve
 from .oracle import max_kkt_residual
@@ -127,12 +129,14 @@ def _make_oracle(p: SystemParams, rest: Restriction):
 
     Index lists and the constant cut vectors are built once here; a call
     reads the point as Python floats, and the point goes to the dual
-    evaluator only when it lies in the dual feasible set. A feasibility
+    evaluator only when it lies in the dual feasible set (so the
+    evaluator's own check of the point never fires here). A feasibility
     cut carries its violation (-x_i for a sign cut, -slack for the l_a
     boundedness cut), so the ellipsoid can cut deep.
     """
     names = rest.active_duals
     ca_f = p.c_a / p.f_a_max
+    pinned = len(names) < 5
 
     def cut(entries: dict[str, float]) -> np.ndarray:
         v = np.zeros(len(names))
@@ -153,7 +157,7 @@ def _make_oracle(p: SystemParams, rest: Restriction):
         for i, e in sign_cuts:
             if xs[i] < 0.0:
                 return ell.CutOracleResult(ell.FEASIBILITY_CUT, e, violation=-xs[i])
-        d = rest.expand(xs)
+        d = rest.expand(xs) if pinned else DualPoint(*xs)
         if slack_cut is not None:
             # same slack evaluation as the dual module, bit for bit
             slack = d.bounded_below_slack(p)
@@ -293,24 +297,31 @@ def _recovery_lp(sol, p: SystemParams, rest: Restriction) -> Allocation | None:
     )
 
 
-def _face_solve(d0: DualPoint, a: Allocation, p: SystemParams, rest: Restriction):
-    """The KKT point on the face of `a`, by damped Newton from (d0, a).
+def _face_system(d0: DualPoint, a: Allocation, p: SystemParams):
+    """The KKT system on the face of `a`, started at (d0, a).
 
     The face: the open slots, whether l_a > 0, and the prices positive on
     an open route (a price's share of the Lagrangian at its row's scale
-    outweighs the row's slack at `a`). Unknowns: those prices, mu2, the
-    open slots and l_a; equations: rho_i = 0 per open slot and each of
-    those prices' rows and the partition held with equality, at the
-    closed forms of solve_sub1-solve_sub4. With l_a > 0, mu2 makes its
+    outweighs the row's slack at `a`). Unknowns z: those prices, mu2, the
+    open slots and l_a; equations F: rho_i = 0 per open slot and each of
+    those prices' rows and the partition held with equality, at the dual
+    module's closed forms sub1-sub4. With l_a > 0, mu2 makes its
     coefficient exactly 0. Other open-route prices are 0; closed-route
-    ones keep d0's value. Returns (allocation, prices, dual value), or
-    None unless Newton gets within 1e-12 inside the box and the domain.
+    ones keep d0's value. Returns (z, lo, hi, state, jacobian): the start,
+    the box, state(z) -> (F, st) and jacobian(st) -> dF/dz at st's z.
+
+    The Jacobian is in closed form. By the envelope theorem (Boyd &
+    Vandenberghe, 5.6.3), d rho1/d(lam1, mu1, mu2) = (-r01(P1) - M1, 1, M1),
+    d rho2/d(lam2, lam3, mu1) = (-r0(P2), -r01(P2), 1) and
+    d rho3/d(lam2, mu1) = (-r1(P3), 1). The rows are linear in the slots
+    and l_a, and move with P1(lam1), P3(lam2), M1(mu2 - lam1), l_u(mu2)
+    and P2(lam2, lam3), the root of u P^2 + v P + w = 0 (implicit
+    differentiation); a clipped closed form has derivative 0.
     """
     T, L, ca_f = p.T, p.L, p.c_a / p.f_a_max
     scales = (max(L, 1.0),) * 3 + (T, max(L, 1.0))
     energy = max(total_energy(a, p), 1e-30)
     slack = check_feasible(a, p).residuals  # the rows at a, scaled
-    zero = defaultdict(float)  # the subproblem of a closed slot
     slots = [i for i, t in enumerate((a.tau1, a.tau2, a.tau3)) if t > 0.0]
     la_free = bool(a.l_a > 0.0)
     base = [d0.lam1, d0.lam2, d0.lam3, d0.mu1, d0.mu2]
@@ -327,6 +338,18 @@ def _face_solve(d0: DualPoint, a: Allocation, p: SystemParams, rest: Restriction
     # the box: prices >= 0 (mu2 is free), slots in [0, T], l_a in [0, L]
     lo = np.array([0.0] * len(prices) + [-np.inf] * (not la_free) + [0.0] * (z.size - n_dual))
     hi = np.array([np.inf] * n_dual + [T] * len(slots) + [L] * la_free)
+    # F's rows among (rho1, rho2, rho3, the five rows), and their scales
+    eqs = slots + [3 + k for k in prices + [4]]
+    weight = np.array([T / energy] * len(slots) + [1.0 / scales[k] for k in prices + [4]])
+    # dz -> d(lam1, lam2, lam3, mu1, mu2, tau1, tau2, tau3, l_a)
+    chain = np.zeros((9, z.size))
+    for j, k in enumerate(prices):
+        chain[k, j] = 1.0
+        chain[4, j] = la_free * (0.0, 1.0, 1.0, ca_f)[k]
+    chain[4, len(prices)] += not la_free
+    for j, i in enumerate(slots):
+        chain[5 + i, n_dual + j] = 1.0
+    chain[8, -1] += la_free
 
     def state(z):
         z = z.tolist()
@@ -335,30 +358,69 @@ def _face_solve(d0: DualPoint, a: Allocation, p: SystemParams, rest: Restriction
             v[k] = x
         # the same sum as DualPoint.bounded_below_slack, so l_a's is 0.0
         v[4] = v[1] + v[2] + v[3] * p.c_a / p.f_a_max if la_free else z[len(prices)]
-        d = DualPoint(*v)
+        lam1, lam2, lam3, mu1, mu2 = v
         tau = [0.0, 0.0, 0.0]
         for i, x in zip(slots, z[n_dual:]):
             tau[i] = x
         l_a = z[-1] if la_free else 0.0
-        subs = [solve(d, p) if t > 0.0 else zero
-                for solve, t in zip((solve_sub1, solve_sub2, solve_sub3), tau)]
-        s1, s2, s3 = subs
-        l_h = s1["M1"] * (T - tau[0])
-        rows = (l_h - tau[0] * s1["r01"], l_a - tau[1] * s2["r0"] - tau[2] * s3["r1"],
-                l_a - tau[1] * s2["r01"], tau[0] + tau[1] + tau[2] + l_a * ca_f - T,
-                L - solve_sub4(d, p) - l_h - l_a)
-        F = [subs[i][f"rho{i + 1}"] * T / energy for i in slots]
-        F += [rows[k] / scales[k] for k in prices + [4]]
-        return np.array(F), (d, tau, l_a, l_h, s1, s2, s3)
+        # a closed slot's closed forms are 0
+        s1 = sub1(lam1, mu1, mu2, p) if tau[0] > 0.0 else SUB1_OFF
+        s2 = sub2(lam2, lam3, mu1, p) if tau[1] > 0.0 else SUB2_OFF
+        s3 = sub3(lam2, mu1, p) if tau[2] > 0.0 else SUB3_OFF
+        l_u = sub4(mu2, p)
+        l_h = s1[1] * (T - tau[0])
+        rows = (l_h - tau[0] * s1[2], l_a - tau[1] * s2[1] - tau[2] * s3[1],
+                l_a - tau[1] * s2[2], tau[0] + tau[1] + tau[2] + l_a * ca_f - T,
+                L - l_u - l_h - l_a)
+        rho = (s1[3], s2[3], s3[2])
+        F = [rho[i] * T / energy for i in slots] + [rows[k] / scales[k] for k in prices + [4]]
+        return np.array(F), (v, tau, l_a, l_h, l_u, s1, s2, s3)
 
+    def jacobian(st):
+        (lam1, lam2, lam3, mu1, mu2), (t1, t2, t3), _, _, l_u, s1, s2, s3 = st
+        (P1, M1, ra1), (P2, r0_2, r01_2), (P3, r1_3) = s1[:3], s2[:3], s3[:2]
+        g0, g01, g1, c = p.g0, p.g01, p.g1, p.B / LN2
+        # the rate slopes dr/dP = c g/(1 + g P), times the power's price slope
+        dr1 = c * g01 / (1.0 + g01 * P1) * (c if 0.0 < P1 < p.P_u_max else 0.0)
+        dr3 = c * g1 / (1.0 + g1 * P3) * (c if 0.0 < P3 < p.P_h_max else 0.0)
+        d0_2, d01_2 = c * g0 / (1.0 + g0 * P2), c * g01 / (1.0 + g01 * P2)
+        dP2 = (0.0, 0.0)
+        if 0.0 < P2 < p.P_u_max:
+            den = (2.0 * g0 * g01 * P2 + g0 + g01) / c - (lam2 + lam3) * g0 * g01
+            dP2 = (g0 * (1.0 + g01 * P2) / den, g01 * (1.0 + g0 * P2) / den)
+        cap_M = p.f_h_max / p.c_h
+        dM = (T - t1) / (6.0 * p.kappa_h * p.c_h**3 * M1) if 0.0 < M1 < cap_M else 0.0
+        dlu = l_u / (2.0 * mu2) if 0.0 < l_u < l_u_max(p) else 0.0
+        G = np.array([
+            # lam1, lam2, lam3, mu1, mu2, tau1, tau2, tau3, l_a
+            [-ra1 - M1, 0.0, 0.0, 1.0, M1, 0.0, 0.0, 0.0, 0.0],
+            [0.0, -r0_2, -r01_2, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, -r1_3, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [-dM - t1 * dr1, 0.0, 0.0, 0.0, dM, -M1 - ra1, 0.0, 0.0, 0.0],
+            [0.0, -t2 * d0_2 * dP2[0] - t3 * dr3, -t2 * d0_2 * dP2[1], 0.0, 0.0,
+             0.0, -r0_2, -r1_3, 1.0],
+            [0.0, -t2 * d01_2 * dP2[0], -t2 * d01_2 * dP2[1], 0.0, 0.0, 0.0, -r01_2, 0.0, 1.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, ca_f],
+            [dM, 0.0, 0.0, 0.0, -dlu - dM, M1, 0.0, 0.0, -1.0],
+        ])
+        return (weight[:, None] * G[eqs]) @ chain
+
+    return z, lo, hi, state, jacobian
+
+
+def _face_solve(d0: DualPoint, a: Allocation, p: SystemParams, rest: Restriction):
+    """The KKT point on the face of `a` (see _face_system), by damped
+    Newton from (d0, a): at most 20 steps, each halved (at most 30 times)
+    until it stays in the box and lowers the largest scaled residual.
+    Returns (allocation, prices, dual value), or None unless Newton gets
+    within 1e-12 inside the box and the domain.
+    """
+    z, lo, hi, state, jacobian = _face_system(d0, a, p)
     try:
         F, st = state(z)
         norm = np.abs(F).max()
         for _ in range(20):
-            h = 1e-7 * np.abs(z) + 1e-300
-            J = np.column_stack([(state(z + h[j] * np.eye(z.size)[j])[0] - F) / h[j]
-                                 for j in range(z.size)])
-            step = np.linalg.solve(J, F)
+            step = np.linalg.solve(jacobian(st), F)
             for _ in range(30):
                 if np.all((lo <= z - step) & (z - step <= hi)):
                     F_t, st_t = state(z - step)
@@ -372,13 +434,14 @@ def _face_solve(d0: DualPoint, a: Allocation, p: SystemParams, rest: Restriction
                 break
         if not norm <= 1e-12:
             return None
-        d, tau, l_a, l_h, s1, s2, s3 = st
+        v, tau, l_a, l_h, _, s1, s2, s3 = st
+        d = DualPoint(*v)
         g = eval_dual_restricted(d, p, rest)[0]
     except (np.linalg.LinAlgError, DualInfeasibleError):
         return None
     return Allocation.build(
-        p, tau1=tau[0], tau2=tau[1], tau3=tau[2], P1=s1["P1"], P2=s2["P2"], P3=s3["P3"],
-        l_u=min(max(L - l_h - l_a, 0.0), l_u_max(p)), l_h=l_h, l_a=l_a), d, g
+        p, tau1=tau[0], tau2=tau[1], tau3=tau[2], P1=s1[0], P2=s2[0], P3=s3[0],
+        l_u=min(max(p.L - l_h - l_a, 0.0), l_u_max(p)), l_h=l_h, l_a=l_a), d, g
 
 
 def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveReport:

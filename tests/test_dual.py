@@ -1,10 +1,14 @@
 import concurrent.futures
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+import coopmec.p1
+from coopmec.bench import run_benchmark
 from coopmec.dual import (
+    DUAL_NAMES,
     FULL,
     DualInfeasibleError,
     DualPoint,
@@ -19,7 +23,7 @@ from coopmec.dual import (
 from coopmec.model import LN2, SystemParams, r0, r01, r1
 from coopmec.oracle import refine_grid
 from coopmec.p1 import solve_p1
-from conftest import desk_params
+from conftest import desk_params, random_params
 
 
 def random_dual(rng, p: SystemParams) -> DualPoint:
@@ -34,6 +38,10 @@ def random_dual(rng, p: SystemParams) -> DualPoint:
     mu2 = float(rng.uniform(-0.2, 1.5) * max(mu2_scale, lam1))
     cap = lam2 + lam3 + mu1 * p.c_a / p.f_a_max
     return DualPoint(lam1, lam2, lam3, mu1, min(mu2, cap))
+
+
+RESTRICTIONS = {"full": FULL, "comp-partial": Restriction(relay_path=False),
+                "comm-partial": Restriction(helper_path=False)}
 
 
 # -- closed-form-vs-grid checks --------------------------------------------
@@ -275,6 +283,22 @@ def test_dual_infeasible_rejected(p_default):
     # mu2 above the l_a coefficient cap makes the dual unbounded below
     with pytest.raises(DualInfeasibleError):
         eval_dual_restricted(DualPoint(1.0, 0.0, 0.0, 0.0, 1.0), p_default, FULL)
+    # under every restriction: any negative price, and with the relay open
+    # an l_a coefficient a hair below zero
+    base = dict(lam1=1e-6, lam2=1e-6, lam3=1e-6, mu1=1e-3, mu2=0.0)
+    cap = 2e-6 + 1e-3 * p_default.c_a / p_default.f_a_max
+    unbounded = DualPoint(**{**base, "mu2": cap * (1.0 + 1e-12)})
+    assert unbounded.bounded_below_slack(p_default) < 0.0
+    for rest in RESTRICTIONS.values():
+        eval_dual_restricted(DualPoint(**base), p_default, rest)
+        for price in ("lam1", "lam2", "lam3", "mu1"):
+            with pytest.raises(DualInfeasibleError):
+                eval_dual_restricted(DualPoint(**{**base, price: -1e-300}), p_default, rest)
+        if rest.relay_path:
+            with pytest.raises(DualInfeasibleError):
+                eval_dual_restricted(unbounded, p_default, rest)
+        else:
+            eval_dual_restricted(unbounded, p_default, rest)
 
 
 def test_kkt_stationarity_at_interior_subproblem_solutions(p_default, rng):
@@ -336,3 +360,64 @@ def test_subgradient_is_the_residual_vector_bit_for_bit(p_default, rng):
             assert rest.expand(sub.tolist()) == DualPoint(
                 **{name: full[name] if name in rest.active_duals else 0.0
                    for name in full})
+
+
+def _dict_assembly(d, p, rest):
+    """The dual function assembled from the dict views solve_sub1-solve_sub4,
+    each pinned block a dict of zeros: the evaluator as first written."""
+    zero = {"P1": 0.0, "M1": 0.0, "tau1": 0.0, "l_h": 0.0, "value": 0.0, "r01": 0.0,
+            "P2": 0.0, "tau2": 0.0, "r0": 0.0, "P3": 0.0, "tau3": 0.0, "r1": 0.0}
+    s1 = solve_sub1(d, p) if rest.helper_path else zero
+    s2, s3 = (solve_sub2(d, p), solve_sub3(d, p)) if rest.relay_path else (zero, zero)
+    l_u, l_a = solve_sub4(d, p), 0.0
+    v4 = p.kappa_u * p.c_u**3 * l_u**3 / p.T**2 - d.mu2 * l_u
+    g = s1["value"] + s2["value"] + s3["value"] + v4 - d.mu1 * p.T
+    g += d.mu2 * p.L
+    tau1, tau2, tau3, l_h = s1["tau1"], s2["tau2"], s3["tau3"], s1["l_h"]
+    sol = (tau1, tau2, tau3, l_u, l_h, l_a, s1["P1"], s2["P2"], s3["P3"], s1["M1"])
+    full = (l_h - tau1 * s1["r01"], l_a - tau2 * s2["r0"] - tau3 * s3["r1"],
+            l_a - tau2 * s2["r01"], tau1 + tau2 + tau3 + l_a * p.c_a / p.f_a_max - p.T,
+            p.L - l_u - l_h - l_a)
+    return g, sol, [full[i] for i in rest.active_index]
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _ascent_points(monkeypatch, scheme, instances):
+    """Every point the solver hands the evaluator while solving `scheme`."""
+    points = []
+    real = coopmec.p1.eval_dual_restricted
+
+    def record(d, p, rest):
+        points.append((d, p))
+        return real(d, p, rest)
+
+    monkeypatch.setattr(coopmec.p1, "eval_dual_restricted", record)
+    for p in instances:
+        run_benchmark(scheme, p)
+    monkeypatch.undo()
+    return points
+
+
+@pytest.mark.parametrize("name", RESTRICTIONS)
+def test_evaluator_matches_the_dict_assembly_bit_for_bit(monkeypatch, p_default, name):
+    # at random feasible points and at every point of real ascents, the
+    # float kernels give the value, the minimizer and the subgradient of
+    # the dict views, float for float (signs of zero included)
+    rest = RESTRICTIONS[name]
+    rng = np.random.default_rng(32)
+    points = [(random_dual(rng, p_default), p_default) for _ in range(200)]
+    scheme = "joint-partial" if name == "full" else name
+    instances = [random_params(rng) for _ in range(4)] + [desk_params(T=0.03)]
+    recorded = _ascent_points(monkeypatch, scheme, instances)
+    assert len(recorded) > 200
+    for d, p in points + recorded:
+        pinned = DualPoint(**{n: getattr(d, n) if n in rest.active_duals else 0.0
+                              for n in DUAL_NAMES})
+        g, sol, sub = eval_dual_restricted(pinned, p, rest)
+        g_ref, sol_ref, sub_ref = _dict_assembly(pinned, p, rest)
+        assert _hex([g]) == _hex([g_ref])
+        assert _hex(astuple(sol)) == _hex(sol_ref)
+        assert _hex(sub.tolist()) == _hex(sub_ref)

@@ -136,6 +136,45 @@ def test_degenerate_feasibility_cut_raises():
         ellipsoid_run(oracle, np.zeros(2), 1.0)
 
 
+def _cuts_then(bad, kind, good_cuts):
+    """An oracle whose first `good_cuts` cuts are valid and whose next cut
+    vector is `bad`, of the given kind."""
+    calls = []
+
+    def oracle(x):
+        calls.append(x.copy())
+        if len(calls) <= good_cuts:
+            return CutOracleResult(OBJECTIVE_CUT, -2.0 * (x - 0.3), -float((x - 0.3) @ (x - 0.3)))
+        return CutOracleResult(kind, bad, value=0.0, violation=1.0)
+    return oracle, calls
+
+
+@pytest.mark.parametrize("good_cuts", [0, 7])
+@pytest.mark.parametrize("kind", [OBJECTIVE_CUT, FEASIBILITY_CUT])
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 2])
+def test_non_finite_cut_vector_raises(good_cuts, kind, entry, where):
+    # whether the shape matrix is still diagonal (no cut yet) or not, and
+    # whatever the other entries, a NaN or infinite entry is refused
+    bad = np.array([0.5, -1.0, 2.0])
+    bad[where] = entry
+    oracle, calls = _cuts_then(bad, kind, good_cuts)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(OracleError):
+            ellipsoid_run(oracle, np.zeros(3), 1.0, max_iter=20)
+    assert len(calls) == good_cuts + 1
+
+
+@pytest.mark.parametrize("kind", [OBJECTIVE_CUT, FEASIBILITY_CUT])
+@pytest.mark.parametrize("bad", [np.ones(2), np.ones(4), np.ones((3, 1)), np.ones((1, 3)),
+                                 np.array(1.0)])
+def test_cut_vector_of_the_wrong_shape_raises(kind, bad):
+    oracle, calls = _cuts_then(bad, kind, 3)
+    with pytest.raises(OracleError):
+        ellipsoid_run(oracle, np.zeros(3), 1.0, max_iter=20)
+    assert len(calls) == 4
+
+
 def test_bad_radius_rejected():
     with pytest.raises(ValueError):
         ellipsoid_run(quadratic_oracle, np.zeros(1), 0.0)

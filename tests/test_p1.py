@@ -450,11 +450,13 @@ def test_capacity_vertex_certifies_the_batch_at_capacity():
 
 
 def test_capacity_vertex_yields_to_the_ascent_where_it_is_not_unique(monkeypatch):
-    # dead channels give r01(P_u_max) = rho_a = 0, so any tau1 carries the
-    # helper's zero bits; without the helper the vertex is all-local
+    # dead channels give r01(P_u_max) = rho_a = 0: both routes close, and
+    # the vertex is all-local, with or without the helper
     dead = desk_params(T=0.05, h01=1e-30, h0=1e-30, h1=1e-30)
-    assert capacity_point(dead) is None
-    assert capacity_point(dead, helper=False).l_u == l_u_max(dead)
+    for helper in (True, False):
+        vertex = capacity_point(dead, helper=helper)
+        assert vertex.l_u == l_u_max(dead)
+        assert vertex.l_h == vertex.l_a == vertex.tau1 == vertex.tau2 == vertex.tau3 == 0.0
     # a tie of the direct link and the relay leaves a segment of AP
     # routes: the ascent answers, as it did before the vertex
     real = coopmec.model._ap_route
@@ -467,6 +469,32 @@ def test_capacity_vertex_yields_to_the_ascent_where_it_is_not_unique(monkeypatch
     rep = solve_p1(p)
     _assert_certified(rep, p)
     assert len(runs) == 1 and rep.iterations > 0 and rep.dual is not None
+
+
+#: gains that kill routes: all three links, the AP links, the helper link
+DEAD_CHANNELS = {
+    "all": dict(h01=1e-30, h0=1e-30, h1=1e-30),
+    "h0-h1": dict(h0=1e-30, h1=1e-30),
+    "h01": dict(h01=1e-30),
+}
+
+
+@pytest.mark.parametrize("scheme", PARTIAL_SCHEMES)
+@pytest.mark.parametrize("dead", DEAD_CHANNELS)
+def test_dead_routes_close_at_capacity(scheme, dead):
+    # a route whose link carries no bits at full power closes, so the
+    # capacity vertex answers with no ascent. Before, six of these nine
+    # ops ran to MAX_ITER and ended nonconverged at the right energy
+    p0 = desk_params(T=0.05, **DEAD_CHANNELS[dead])
+    p = replace(p0, L=_scheme_capacity(p0, scheme))
+    rep = run_benchmark(scheme, p)
+    _assert_certified(rep, p)
+    assert rep.iterations == 0 and rep.dual is None
+    a = rep.allocation
+    assert a.l_u == l_u_max(p)
+    if dead != "h0-h1":  # only the helper link is alive there
+        assert a.l_h == a.tau1 == 0.0
+    assert a.l_a == a.tau2 == a.tau3 == 0.0
 
 
 #: the fractions of capacity the near-capacity random draws cycle through
