@@ -338,18 +338,14 @@ def _face_system(d0: DualPoint, a: Allocation, p: SystemParams):
     # the box: prices >= 0 (mu2 is free), slots in [0, T], l_a in [0, L]
     lo = np.array([0.0] * len(prices) + [-np.inf] * (not la_free) + [0.0] * (z.size - n_dual))
     hi = np.array([np.inf] * n_dual + [T] * len(slots) + [L] * la_free)
-    # F's rows among (rho1, rho2, rho3, the five rows), and their scales
+    # F's rows among (rho1, rho2, rho3, the five rows), and their scales;
+    # z's columns among (lam1, lam2, lam3, mu1, mu2, tau1, tau2, tau3, l_a),
+    # and mu2's slope in each (with l_a > 0, mu2 = lam2 + lam3 + mu1 c_a/f_a_max)
     eqs = slots + [3 + k for k in prices + [4]]
     weight = np.array([T / energy] * len(slots) + [1.0 / scales[k] for k in prices + [4]])
-    # dz -> d(lam1, lam2, lam3, mu1, mu2, tau1, tau2, tau3, l_a)
-    chain = np.zeros((9, z.size))
-    for j, k in enumerate(prices):
-        chain[k, j] = 1.0
-        chain[4, j] = la_free * (0.0, 1.0, 1.0, ca_f)[k]
-    chain[4, len(prices)] += not la_free
-    for j, i in enumerate(slots):
-        chain[5 + i, n_dual + j] = 1.0
-    chain[8, -1] += la_free
+    cols = prices + [4] * (not la_free) + [5 + i for i in slots] + [8] * la_free
+    mu2_slope = np.array([la_free * (0.0, 1.0, 1.0, ca_f)[k] for k in prices]
+                         + [0.0] * (z.size - len(prices)))
 
     def state(z):
         z = z.tolist()
@@ -391,7 +387,7 @@ def _face_system(d0: DualPoint, a: Allocation, p: SystemParams):
         cap_M = p.f_h_max / p.c_h
         dM = (T - t1) / (6.0 * p.kappa_h * p.c_h**3 * M1) if 0.0 < M1 < cap_M else 0.0
         dlu = l_u / (2.0 * mu2) if 0.0 < l_u < l_u_max(p) else 0.0
-        G = np.array([
+        G = weight[:, None] * np.array([
             # lam1, lam2, lam3, mu1, mu2, tau1, tau2, tau3, l_a
             [-ra1 - M1, 0.0, 0.0, 1.0, M1, 0.0, 0.0, 0.0, 0.0],
             [0.0, -r0_2, -r01_2, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -402,8 +398,8 @@ def _face_system(d0: DualPoint, a: Allocation, p: SystemParams):
             [0.0, -t2 * d01_2 * dP2[0], -t2 * d01_2 * dP2[1], 0.0, 0.0, 0.0, -r01_2, 0.0, 1.0],
             [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, ca_f],
             [dM, 0.0, 0.0, 0.0, -dlu - dM, M1, 0.0, 0.0, -1.0],
-        ])
-        return (weight[:, None] * G[eqs]) @ chain
+        ])[eqs]
+        return G[:, cols] + G[:, 4:5] * mu2_slope
 
     return z, lo, hi, state, jacobian
 
