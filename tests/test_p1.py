@@ -483,8 +483,8 @@ DEAD_CHANNELS = {
 @pytest.mark.parametrize("dead", DEAD_CHANNELS)
 def test_dead_routes_close_at_capacity(scheme, dead):
     # a route whose link carries no bits at full power closes, so the
-    # capacity vertex answers with no ascent. Before, six of these nine
-    # ops ran to MAX_ITER and ended nonconverged at the right energy
+    # capacity vertex answers with no ascent; an ascent would run to
+    # MAX_ITER on six of these nine ops, where no dual certifies
     p0 = desk_params(T=0.05, **DEAD_CHANNELS[dead])
     p = replace(p0, L=_scheme_capacity(p0, scheme))
     rep = run_benchmark(scheme, p)
