@@ -182,24 +182,21 @@ def sub4(mu2: float, p: SystemParams) -> float:
 def solve_sub1(d: DualPoint, p: SystemParams) -> dict:
     """Subproblem 1 (see sub1) at d, with l_h = M1 (T - tau1)."""
     _require_signs(d)
-    P1, M1, rate1, rho1, tau1, value = sub1(d.lam1, d.mu1, d.mu2, p)
-    return {"P1": P1, "M1": M1, "tau1": tau1, "l_h": M1 * (p.T - tau1),
-            "rho1": rho1, "value": value, "r01": rate1}
+    s = dict(zip(("P1", "M1", "r01", "rho1", "tau1", "value"), sub1(d.lam1, d.mu1, d.mu2, p)))
+    s["l_h"] = s["M1"] * (p.T - s["tau1"])
+    return s
 
 
 def solve_sub2(d: DualPoint, p: SystemParams) -> dict:
     """Subproblem 2 (see sub2) at d."""
     _require_signs(d)
-    P2, rate_ap, rate_h, rho2, tau2, value = sub2(d.lam2, d.lam3, d.mu1, p)
-    return {"P2": P2, "tau2": tau2, "rho2": rho2, "value": value,
-            "r0": rate_ap, "r01": rate_h}
+    return dict(zip(("P2", "r0", "r01", "rho2", "tau2", "value"), sub2(d.lam2, d.lam3, d.mu1, p)))
 
 
 def solve_sub3(d: DualPoint, p: SystemParams) -> dict:
     """Subproblem 3 (see sub3) at d."""
     _require_signs(d)
-    P3, rate3, rho3, tau3, value = sub3(d.lam2, d.mu1, p)
-    return {"P3": P3, "tau3": tau3, "rho3": rho3, "value": value, "r1": rate3}
+    return dict(zip(("P3", "r1", "rho3", "tau3", "value"), sub3(d.lam2, d.mu1, p)))
 
 
 def solve_sub4(d: DualPoint, p: SystemParams) -> float:
