@@ -31,10 +31,11 @@ certificate: on an objective cut, each time the relative gap bound
 sqrt(g' A g) / |best value| first drops below a new decade (1, then
 0.1, and so on), checkpoint(center, best_point, best_value) is called
 once, and a True return ends the run as converged. They start at 1: a
-caller that solves on the face a checkpoint shows needs no more, and an
-early checkpoint costs a rejected check, not a wrong answer. The center
-is the point that just took the objective cut, so it passed the
-oracle's feasibility checks. When the shape matrix breaks down (g' A g not
+caller that solves on the face a checkpoint shows (p1, which runs the
+ascent only when its cold face solve fails) needs no more, and an early
+checkpoint costs a rejected check, not a wrong answer. The center is the
+point that just took the objective cut, so it passed the oracle's
+feasibility checks. When the shape matrix breaks down (g' A g not
 positive, or not finite), the run restarts around the best point, which
 leaves the gap bound too wide for any later decade; so before each
 restart the checkpoint is also called, as checkpoint(best_point,

@@ -15,7 +15,7 @@ the explicit conversion helpers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 LN2 = math.log(2.0)
@@ -365,22 +365,32 @@ def total_energy(a: Allocation, p: SystemParams) -> float:
 
 @dataclass(frozen=True, slots=True)
 class ConstraintReport:
-    """Signed, scale-normalized residuals of every partial-offloading constraint.
-
-    A residual is positive iff the constraint is violated; bit balance is
-    an equality and contributes |residual|. max_violation is the largest
-    positive residual (0 when all hold).
+    """The largest violation of any partial-offloading constraint at an
+    allocation: max_violation, the largest positive residual (0 when all
+    hold). The residuals are recomputed on demand (constraint_residuals).
     """
 
-    residuals: dict[str, float] = field(default_factory=dict)
-    max_violation: float = 0.0
+    allocation: Allocation
+    params: SystemParams
+    max_violation: float
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        return constraint_residuals(self.allocation, self.params)
 
     def feasible(self, tol: float = 1e-9) -> bool:
         return self.max_violation <= tol
 
 
 def check_feasible(a: Allocation, p: SystemParams, tol: float = 1e-9) -> ConstraintReport:
-    """Evaluate every constraint of the partial-offloading problem at `a`.
+    """Evaluate every constraint of the partial-offloading problem at `a`."""
+    return ConstraintReport(a, p, max(0.0, max(constraint_residuals(a, p).values())))
+
+
+def constraint_residuals(a: Allocation, p: SystemParams) -> dict[str, float]:
+    """Signed residuals of every partial-offloading constraint at `a`: a
+    residual is positive iff the constraint is violated; bit balance is an
+    equality and contributes |residual|.
 
     Residuals are normalized by natural scales (L for bit constraints, T
     for time, the caps for powers and frequencies) so one tolerance works
@@ -399,8 +409,6 @@ def check_feasible(a: Allocation, p: SystemParams, tol: float = 1e-9) -> Constra
     res["P1_bounds"] = max(-a.P1, a.P1 - p.P_u_max) / p.P_u_max
     res["P2_bounds"] = max(-a.P2, a.P2 - p.P_u_max) / p.P_u_max
     res["P3_bounds"] = max(-a.P3, a.P3 - p.P_h_max) / p.P_h_max
-    # literal keys: a report keeps this dict, and a formatted key would be
-    # a new string in each one
     for name, v in (("tau1_bounds", a.tau1), ("tau2_bounds", a.tau2),
                     ("tau3_bounds", a.tau3), ("tau4_bounds", a.tau4)):
         res[name] = max(-v, v - p.T) / p.T
@@ -408,5 +416,4 @@ def check_feasible(a: Allocation, p: SystemParams, tol: float = 1e-9) -> Constra
         res[name] = -v / bit_scale
     res["f_u_cap"] = (a.f_u - p.f_u_max) / p.f_u_max
     res["f_h_cap"] = (a.f_h - p.f_h_max) / p.f_h_max
-
-    return ConstraintReport(residuals=res, max_violation=max(0.0, max(res.values())))
+    return res

@@ -2,10 +2,11 @@
 
 solve_p1 runs the full three-route problem; the same machinery with a
 route pinned off (see dual.Restriction) powers the comp-partial and
-comm-partial benchmark schemes. A solve stops at the first checkpoint of
-the ascent where the KKT system on the face its recovery shows solves to
-a certified point, usually the first one. At L = capacity the answer is
-the capacity vertex (model.capacity_point), with no ascent.
+comm-partial benchmark schemes. At L = capacity the answer is the
+capacity vertex (model.capacity_point). Below it, a KKT solve on the
+generic face from a cold start answers if it certifies; else the ascent
+stops at the first checkpoint where the KKT system on the face its
+recovery shows solves to a certified point, usually the first one.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .model import (
     SystemParams,
     capacity_point,
     check_feasible,
+    constraint_residuals,
     fits,
     inv_rate_power,
     l_u_max,
@@ -63,6 +65,7 @@ CHECKPOINT_KKT_TOL = 1e-6  # scaled KKT residual an optimal report must reach
 # iteration cap of the ellipsoid run: it stops on the certificate, so the
 # cap only ends instances that never certify
 MAX_ITER = 5000
+MAX_HALVINGS = 7  # per Newton step of a face solve; certified ones need <= 6
 
 
 class RecoveryError(RuntimeError):
@@ -297,18 +300,39 @@ def _recovery_lp(sol, p: SystemParams, rest: Restriction) -> Allocation | None:
     )
 
 
-def _face_system(d0: DualPoint, a: Allocation, p: SystemParams):
-    """The KKT system on the face of `a`, started at (d0, a).
+def _open_prices(a: Allocation) -> list[int]:
+    """The prices on an open route of `a`, as indices into (lam1, lam2,
+    lam3, mu1): lam1 with tau1 open, lam2 and lam3 with tau2, mu1 always."""
+    return [k for k, on in enumerate((a.tau1 > 0.0, a.tau2 > 0.0, a.tau2 > 0.0, True)) if on]
 
-    The face: the open slots, whether l_a > 0, and the prices positive on
-    an open route (a price's share of the Lagrangian at its row's scale
-    outweighs the row's slack at `a`). Unknowns z: those prices, mu2, the
-    open slots and l_a; equations F: rho_i = 0 per open slot and each of
-    those prices' rows and the partition held with equality, at the dual
-    module's closed forms sub1-sub4. With l_a > 0, mu2 makes its
+
+def _priced_rows(d: DualPoint, a: Allocation, p: SystemParams) -> list[int]:
+    """The face a checkpoint's recovery `a` shows at d: of the prices on
+    an open route, those whose share of the Lagrangian at their row's
+    scale outweighs the row's scaled slack at `a`. The recovery LP leaves
+    the deadline slack at over-priced duals, so row tightness alone would
+    miss mu1."""
+    energy = max(total_energy(a, p), 1e-30)
+    slack = constraint_residuals(a, p)
+    rows = ("helper_rate", "relay_sum_rate", "relay_decode_rate", "deadline")
+    scales = (max(p.L, 1.0),) * 3 + (p.T,)
+    prices = (d.lam1, d.lam2, d.lam3, d.mu1)
+    return [k for k in _open_prices(a) if prices[k] * scales[k] / energy > abs(slack[rows[k]])]
+
+
+def _face_system(d0: DualPoint, a: Allocation, prices: list[int], p: SystemParams):
+    """The KKT system on the face the caller names, started at (d0, a).
+
+    The face: the open slots of `a`, whether l_a > 0, and `prices`, the
+    indices into (lam1, lam2, lam3, mu1) of the prices positive there,
+    each on an open route (_open_prices). Unknowns z: those prices, mu2,
+    the open slots and l_a; equations F: rho_i = 0 per open slot and each
+    of those prices' rows and the partition held with equality, at the
+    dual module's closed forms sub1-sub4. With l_a > 0, mu2 makes its
     coefficient exactly 0. Other open-route prices are 0; closed-route
-    ones keep d0's value. Returns (z, lo, hi, state, jacobian): the start,
-    the box, state(z) -> (F, st) and jacobian(st) -> dF/dz at st's z.
+    ones keep d0's value. The powers and bits of `a` only size the energy
+    that weighs the rho rows. Returns (z, lo, hi, state, jacobian): the
+    start, the box, state(z) -> (F, st) and jacobian(st) -> dF/dz at st's z.
 
     The Jacobian is in closed form. By the envelope theorem (Boyd &
     Vandenberghe, 5.6.3), d rho1/d(lam1, mu1, mu2) = (-r01(P1) - M1, 1, M1),
@@ -321,17 +345,12 @@ def _face_system(d0: DualPoint, a: Allocation, p: SystemParams):
     T, L, ca_f = p.T, p.L, p.c_a / p.f_a_max
     scales = (max(L, 1.0),) * 3 + (T, max(L, 1.0))
     energy = max(total_energy(a, p), 1e-30)
-    slack = check_feasible(a, p).residuals  # the rows at a, scaled
     slots = [i for i, t in enumerate((a.tau1, a.tau2, a.tau3)) if t > 0.0]
     la_free = bool(a.l_a > 0.0)
     base = [d0.lam1, d0.lam2, d0.lam3, d0.mu1, d0.mu2]
-    prices = []
-    for k, row in enumerate(("helper_rate", "relay_sum_rate", "relay_decode_rate", "deadline")):
-        if (0 in slots, 1 in slots, 1 in slots, True)[k]:  # the row's route is open
-            if base[k] * scales[k] / energy > abs(slack[row]):
-                prices.append(k)
-            else:
-                base[k] = 0.0
+    for k in _open_prices(a):
+        if k not in prices:
+            base[k] = 0.0
     n_dual = len(prices) + (not la_free)
     z = np.array([base[k] for k in prices] + [base[4]] * (not la_free)
                  + [(a.tau1, a.tau2, a.tau3)[i] for i in slots] + [a.l_a] * la_free)
@@ -404,20 +423,21 @@ def _face_system(d0: DualPoint, a: Allocation, p: SystemParams):
     return z, lo, hi, state, jacobian
 
 
-def _face_solve(d0: DualPoint, a: Allocation, p: SystemParams, rest: Restriction):
-    """The KKT point on the face of `a` (see _face_system), by damped
-    Newton from (d0, a): at most 20 steps, each halved (at most 30 times)
-    until it stays in the box and lowers the largest scaled residual.
+def _face_solve(d0: DualPoint, a: Allocation, prices, p: SystemParams, rest: Restriction):
+    """The KKT point on the named face (see _face_system), by damped
+    Newton from (d0, a): at most 20 steps, each halved at most
+    MAX_HALVINGS times until it stays in the box and lowers the largest
+    scaled residual, so a start outside Newton's reach fails fast.
     Returns (allocation, prices, dual value), or None unless Newton gets
     within 1e-12 inside the box and the domain.
     """
-    z, lo, hi, state, jacobian = _face_system(d0, a, p)
+    z, lo, hi, state, jacobian = _face_system(d0, a, prices, p)
     try:
         F, st = state(z)
         norm = np.abs(F).max()
         for _ in range(20):
             step = np.linalg.solve(jacobian(st), F)
-            for _ in range(30):
+            for _ in range(MAX_HALVINGS + 1):
                 if np.all((lo <= z - step) & (z - step <= hi)):
                     F_t, st_t = state(z - step)
                     if np.abs(F_t).max() < norm:
@@ -440,30 +460,59 @@ def _face_solve(d0: DualPoint, a: Allocation, p: SystemParams, rest: Restriction
         l_u=min(max(p.L - l_h - l_a, 0.0), l_u_max(p)), l_h=l_h, l_a=l_a), d, g
 
 
+def _cold_start(p: SystemParams, rest: Restriction, scales: np.ndarray):
+    """(d0, a, prices) on the generic face of `rest`: every slot of an open
+    route open, l_a > 0 with the relay, every open-route price positive.
+    d0 is the ellipsoid's initial center; each open slot is T/4 at half
+    its power cap, l_u = l_h = L/3 and l_a = L/3 with the relay. Powers
+    and bits only size the energy that weighs the rho rows (with none, the
+    weight is T/1e-30, and Newton rarely certifies)."""
+    T, third = p.T, p.L / 3.0
+    h, r = rest.helper_path, rest.relay_path
+    a = Allocation.build(
+        p, tau1=0.25 * T * h, tau2=0.25 * T * r, tau3=0.25 * T * r,
+        P1=0.5 * p.P_u_max * h, P2=0.5 * p.P_u_max * r, P3=0.5 * p.P_h_max * r,
+        l_u=third, l_h=third, l_a=third * r)
+    return rest.expand(0.25 * scales), a, _open_prices(a)
+
+
+def _cold_attempt(p: SystemParams, rest: Restriction, label: str, scales) -> SolveReport | None:
+    """The report of the face solve from _cold_start if it certifies, else None."""
+    face = _face_solve(*_cold_start(p, rest, scales), p, rest)
+    report = face and certify(*face, p, label)
+    return report if report and report.ok else None
+
+
 def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveReport:
     """Dual ascent + recovery for the (possibly pinned) convex problem.
 
     Assumes the instance is feasible for the restriction; callers do the
-    capacity check. At capacity the report is the capacity vertex, where
-    it is unique: the one feasible point (gap 0.0, no dual, 0 iterations).
-    Otherwise one ellipsoid run maximizes the dual, and it stops on the
-    certificate: every time its gap bound drops a decade (from 1 down),
+    capacity check. The answer is, in order: at capacity, the capacity
+    vertex where it is unique (the one feasible point: gap 0.0, no dual, 0
+    iterations); the cold KKT solve on the restriction's generic face
+    (_cold_attempt) if it certifies, with its dual and 0 iterations; else
+    one ellipsoid run that maximizes the dual and stops on the
+    certificate. Every time its gap bound drops a decade (from 1 down),
     the primal is recovered at the ellipsoid's center, then at the best
-    dual point. The KKT solve on each recovery's face (_face_solve) is
-    certified against the dual value at its own prices; failing that, the
-    recovery is certified against the best dual value. The run ends at
-    the first `optimal` report (gap within GAP_TOL, feasible, KKT residual
-    within CHECKPOINT_KKT_TOL). Each breakdown of the ellipsoid (near
-    capacity) triggers the same check at the best point before the
-    restart, and a point the previous check rejected is not recovered
-    again. A run that never certifies ends at MAX_ITER with the same
-    check at the best point, `nonconverged` unless it holds.
+    dual point. The KKT solve on the face each recovery shows
+    (_priced_rows) is certified against the dual value at its own prices;
+    failing that, the recovery is certified against the best dual value.
+    The run ends at the first `optimal` report (gap within GAP_TOL,
+    feasible, KKT residual within CHECKPOINT_KKT_TOL). Each breakdown of
+    the ellipsoid (near capacity) triggers the same check at the best
+    point before the restart, and a point the previous check rejected is
+    not recovered again. A run that never certifies ends at MAX_ITER with
+    the same check at the best point, `nonconverged` unless it holds.
     """
     if p.L == 0.0:
         return certify(Allocation.zero(p), DualPoint(0, 0, 0, 0, 0), 0.0, p, label)
     vertex = capacity_point(p, rest.helper_path, rest.relay_path)
     if vertex is not None and p.L >= vertex.l_u + vertex.l_h + vertex.l_a:
         return certify(vertex, None, total_energy(vertex, p), p, label)
+    scales = _dual_scales(p, rest)
+    cold = _cold_attempt(p, rest, label, scales)
+    if cold is not None:
+        return cold
 
     def report_at(point: np.ndarray, dual_bound: float) -> SolveReport | None:
         # the face solve's report if it certifies, else the recovery's;
@@ -473,7 +522,7 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
             alloc = recover_primal(d, p, rest)
         except (RecoveryError, DualInfeasibleError):
             return None
-        face = _face_solve(d, alloc, p, rest)
+        face = _face_solve(d, alloc, _priced_rows(d, alloc, p), p, rest)
         if face is not None:
             report = certify(*face, p, label)
             if report.ok:
@@ -499,7 +548,6 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
         rejected[:] = [center, point]
         return False
 
-    scales = _dual_scales(p, rest)
     res = ell.ellipsoid_run(_make_oracle(p, rest), 0.25 * scales, 8.0 * scales,
                             max_iter=MAX_ITER, checkpoint=checkpoint)
     if certified:

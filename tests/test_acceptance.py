@@ -94,8 +94,10 @@ def test_criterion_1_reports_carry_their_bound(gap_batch):
 def test_criterion_1_batch_runs_one_short_ascent_per_solve(monkeypatch):
     # no second solve, and each run ends near its first checkpoint: with
     # the KKT tail and the inactive-route re-solve the batch took 55 runs
-    # and 42,523 iterations, and with the checkpoint decades starting at
-    # 1e-3 it took 18,437
+    # and 42,523 iterations, with the checkpoint decades starting at 1e-3
+    # it took 18,437, and with the ascent on every solve 9,300 (3,857
+    # measured with the cold face solve first). A solve the cold face
+    # solve certifies makes no run
     runs = []
     real = coopmec.p1.ell.ellipsoid_run
 
@@ -105,11 +107,17 @@ def test_criterion_1_batch_runs_one_short_ascent_per_solve(monkeypatch):
 
     monkeypatch.setattr(coopmec.p1.ell, "ellipsoid_run", run)
     rng = np.random.default_rng(SEED)
+    no_run = 0
     for _ in range(50):
         before = len(runs)
-        assert solve_p1(random_params(rng)).ok
-        assert len(runs) == before + 1
-    assert sum(r.iterations for r in runs) <= 10_000
+        rep = solve_p1(random_params(rng))
+        assert rep.ok
+        assert len(runs) <= before + 1
+        if len(runs) == before:
+            no_run += 1
+            assert rep.iterations == 0 and rep.dual is not None
+    assert no_run >= 30
+    assert sum(r.iterations for r in runs) <= 4_500
 
 
 def test_criterion_2_oracle_equivalence():

@@ -6,7 +6,7 @@ import pytest
 from coopmec.bench import COMM_PARTIAL, COMP_PARTIAL
 from coopmec.dual import DUAL_NAMES, FULL, DualPoint
 from coopmec.model import LN2, Allocation, l_u_max
-from coopmec.p1 import _face_system
+from coopmec.p1 import _cold_start, _dual_scales, _face_system, _priced_rows
 from conftest import desk_params
 
 # per restriction: the open slots, whether l_a > 0, and the unknowns z of
@@ -21,15 +21,22 @@ FACES = {
 MARGIN = 0.05
 
 
-def _face(p, slots, la_free):
-    """The face system of an allocation with exactly these slots open, and
-    prices large enough that every open-route price joins the face."""
+def _checkpoint_face(p, rest, slots, la_free):
+    """The face system a checkpoint builds for an allocation with exactly
+    these slots open, at prices large enough that every open-route price
+    joins the face."""
     tau = [0.2 * p.T if i in slots else 0.0 for i in range(3)]
     a = Allocation.build(
         p, tau1=tau[0], tau2=tau[1], tau3=tau[2], P1=1.0 * (tau[0] > 0.0),
         P2=1.0 * (tau[1] > 0.0), P3=1.0 * (tau[2] > 0.0), l_u=0.3 * p.L,
         l_h=0.2 * p.L * (tau[0] > 0.0), l_a=0.2 * p.L * la_free)
-    return _face_system(DualPoint(1e3, 1e3, 1e3, 1e3, 1e3), a, p)
+    d = DualPoint(1e3, 1e3, 1e3, 1e3, 1e3)
+    return _face_system(d, a, _priced_rows(d, a, p), p)
+
+
+def _cold_face(p, rest, slots, la_free):
+    """The face system of the cold attempt: the generic face it names."""
+    return _face_system(*_cold_start(p, rest, _dual_scales(p, rest)), p)
 
 
 def _random_z(rng, p, names, la_free):
@@ -65,33 +72,64 @@ def _interior(st, p) -> bool:
     return all(MARGIN * hi < x < (1.0 - MARGIN) * hi for x, hi in boxes)
 
 
-@pytest.mark.parametrize("face", FACES)
-def test_face_jacobian_matches_finite_differences(face):
-    # central differences (steps of 1e-5 relative) at interior points of
-    # the generic face, away from every clip kink: each column of the
-    # closed form agrees within 1e-6 of the column's size (6e-8 measured)
+def _check_columns(state, jacobian, z, p, names) -> None:
+    # each column of the closed form against central differences (steps
+    # of 1e-5 relative), within 1e-6 of the column's size
+    F, st = state(z)
+    J = jacobian(st)
+    for j in range(z.size):
+        h = 1e-5 * abs(z[j])
+        e = np.zeros(z.size)
+        e[j] = h
+        (F_plus, st_plus), (F_minus, st_minus) = state(z + e), state(z - e)
+        assert _interior(st_plus, p) and _interior(st_minus, p)
+        fd = (F_plus - F_minus) / (2.0 * h)
+        scale = max(np.abs(J[:, j]).max(), np.abs(fd).max())
+        assert np.abs(J[:, j] - fd).max() <= 1e-6 * scale, (names[j], J[:, j], fd)
+
+
+def _check_face(face, build) -> None:
+    # central differences at interior points of the face, away from every
+    # clip kink
     rest, slots, la_free, names = FACES[face]
     rng = np.random.default_rng(32)
     checked = 0
     for T in (0.03, 0.05, 0.1):
         p = desk_params(T=T, L=2e4 * T / 0.05)
-        z0, _, _, state, jacobian = _face(p, slots, la_free)
+        z0, _, _, state, jacobian = build(p, rest, slots, la_free)
         assert z0.size == len(names)
         assert set(names) & set(DUAL_NAMES) <= set(rest.active_duals)
         for _ in range(40):
             z = _random_z(rng, p, names, la_free)
-            F, st = state(z)
-            if not _interior(st, p):
+            if not _interior(state(z)[1], p):
                 continue
-            J = jacobian(st)
-            for j in range(z.size):
-                h = 1e-5 * abs(z[j])
-                e = np.zeros(z.size)
-                e[j] = h
-                (F_plus, st_plus), (F_minus, st_minus) = state(z + e), state(z - e)
-                assert _interior(st_plus, p) and _interior(st_minus, p)
-                fd = (F_plus - F_minus) / (2.0 * h)
-                scale = max(np.abs(J[:, j]).max(), np.abs(fd).max())
-                assert np.abs(J[:, j] - fd).max() <= 1e-6 * scale, (names[j], J[:, j], fd)
+            _check_columns(state, jacobian, z, p, names)
             checked += 1
     assert checked >= 30
+
+
+@pytest.mark.parametrize("face", FACES)
+def test_face_jacobian_matches_finite_differences(face):
+    # the generic face as a checkpoint names it, from the slack rule at a
+    # recovery: each column of the closed form agrees within 1e-6 of the
+    # column's size (6e-8 measured)
+    _check_face(face, _checkpoint_face)
+
+
+@pytest.mark.parametrize("face", FACES)
+def test_cold_face_jacobian_matches_finite_differences(face):
+    # the same face as the cold attempt names it (every open-route
+    # price), from its own start
+    _check_face(face, _cold_face)
+
+
+@pytest.mark.parametrize("face", FACES)
+def test_cold_start_names_the_generic_face(face):
+    # the cold start opens every slot of the restriction, with l_a > 0
+    # where the relay is open, and names every open-route price
+    rest, slots, la_free, names = FACES[face]
+    p = desk_params(T=0.05)
+    d0, a, prices = _cold_start(p, rest, _dual_scales(p, rest))
+    assert [i for i, t in enumerate((a.tau1, a.tau2, a.tau3)) if t > 0.0] == list(slots)
+    assert (a.l_a > 0.0) == la_free
+    assert [DUAL_NAMES[k] for k in prices] == [n for n in names if n in DUAL_NAMES[:4]]

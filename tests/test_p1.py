@@ -18,6 +18,8 @@ from coopmec.model import (
     total_energy,
 )
 from coopmec.oracle import max_kkt_residual, oracle_p11
+from coopmec.p2 import mode_local
+from coopmec.scenario import Scenario
 from coopmec.p1 import (
     GAP_TOL,
     MAX_ITER,
@@ -458,13 +460,16 @@ def test_capacity_vertex_yields_to_the_ascent_where_it_is_not_unique(monkeypatch
         assert vertex.l_u == l_u_max(dead)
         assert vertex.l_h == vertex.l_a == vertex.tau1 == vertex.tau2 == vertex.tau3 == 0.0
     # a tie of the direct link and the relay leaves a segment of AP
-    # routes: the ascent answers, as it did before the vertex
+    # routes: the ascent answers, as it did before the vertex. The cold
+    # face solve certifies this op too; it is turned off so that the
+    # ascent's own certificate stays covered here
     real = coopmec.model._ap_route
     monkeypatch.setattr(coopmec.model, "_ap_route",
                         lambda p: (real(p)[0], None, *real(p)[2:]))
     p = desk_params(T=0.05)
     p = replace(p, L=lmax_partial(p))
     assert capacity_point(p) is None
+    _no_cold_attempt(monkeypatch)
     runs = _count_runs(monkeypatch)
     rep = solve_p1(p)
     _assert_certified(rep, p)
@@ -566,6 +571,12 @@ def test_solve_restricted_comm_partial_structure():
     assert a.l_h == 0.0
 
 
+def _no_cold_attempt(monkeypatch):
+    """Turn the cold face solve off, so every solve below capacity runs
+    the ascent."""
+    monkeypatch.setattr(coopmec.p1, "_cold_attempt", lambda *args: None)
+
+
 def _count_runs(monkeypatch):
     """Record the result of every ellipsoid run from here on."""
     runs = []
@@ -589,13 +600,17 @@ def _count_runs(monkeypatch):
     (Restriction(helper_path=False), "comm-partial", 1.0, {"D": 240.0}),
 ])
 def test_one_ellipsoid_run_per_solve(monkeypatch, rest, label, frac, desk):
+    # at most one run; none where the cold face solve certifies (joint-
+    # and comm-partial at 0.5), which then reports its own dual
     p = desk_params(T=0.05, **desk)
     p = replace(p, L=frac * _scheme_capacity(p, label))
     runs = _count_runs(monkeypatch)
     rep = solve_restricted(p, rest, label)
     assert rep.ok
-    assert len(runs) == (frac < 1.0)
+    assert len(runs) <= (frac < 1.0)
     assert rep.iterations == sum(r.iterations for r in runs) < MAX_ITER
+    if frac < 1.0 and not runs:
+        assert rep.iterations == 0 and rep.dual is not None
 
 
 @pytest.mark.parametrize("seed,k", [(100, 8), (103, 14)])
@@ -603,7 +618,10 @@ def test_breakdown_checkpoint_certifies_before_the_cap(monkeypatch, seed, k):
     # joint-partial at 0.9999 of capacity (near-capacity batch draws): the
     # shape matrix breaks down and the run restarts. Each breakdown offers
     # the best point to the checkpoint as the center too, no dual point is
-    # recovered twice, and the one run certifies before the cap
+    # recovered twice, and the one run certifies before the cap. The cold
+    # face solve certifies draw 100/8; it is turned off so that the
+    # breakdown checkpoint stays covered here
+    _no_cold_attempt(monkeypatch)
     recovered, breakdowns = [], []
     real_recover = coopmec.p1.recover_primal
     monkeypatch.setattr(coopmec.p1, "recover_primal",
@@ -669,3 +687,58 @@ def test_uncertified_run_ends_at_the_cap_with_the_best_point(monkeypatch):
     alloc = recover_primal(rep.dual, p)
     assert rep.energy == total_energy(alloc, p)
     assert rep.duality_gap <= GAP_TOL  # certified but for the KKT bound
+
+
+def _fig4_partial_ops():
+    """The dual-pipeline ops of the figure-4 sweep: joint-, comp- and
+    comm-partial at T = 10, 20, ..., 100 ms on the desk defaults."""
+    sc = Scenario(sweep_param="T", sweep_from=10.0, sweep_to=100.0, sweep_steps=10)
+    return [(scheme, sc.at_sweep_value(T)) for T in sc.sweep_values()
+            for scheme in ("joint-partial", "comp-partial", "comm-partial")]
+
+
+def test_cold_attempt_changes_no_answer(monkeypatch):
+    # each op of the acceptance batch and of figure 4's partial points is
+    # solved with the cold face solve and without it: the same status and
+    # energy (within 1e-12 relative; 1.6e-15 measured), and where the
+    # cold attempt fails the ascent makes the same iterations as without it
+    rng = np.random.default_rng(20250808)
+    ops = [("joint-partial", random_params(rng)) for _ in range(50)] + _fig4_partial_ops()
+    attempts = []
+    real = coopmec.p1._cold_attempt
+    monkeypatch.setattr(coopmec.p1, "_cold_attempt",
+                        lambda *args: attempts.append(real(*args)) or attempts[-1])
+    with_cold = [run_benchmark(scheme, p) for scheme, p in ops]
+    assert len(attempts) == len(ops)
+    _no_cold_attempt(monkeypatch)
+    for (scheme, p), rep, cold in zip(ops, with_cold, attempts):
+        ref = run_benchmark(scheme, p)
+        assert rep.status == ref.status == STATUS_OPTIMAL
+        assert rep.energy == pytest.approx(ref.energy, rel=1e-12, abs=0.0)
+        if cold is None:
+            assert rep.iterations == ref.iterations > 0
+        else:
+            assert rep is cold and rep.iterations == 0
+            _assert_certified(rep, p)
+    certified = sum(cold is not None for cold in attempts)
+    assert certified >= 30  # 34 of the batch and 4 of figure 4 measured
+
+
+def test_reports_compute_their_residuals_on_demand(monkeypatch):
+    # a report keeps its largest violation and recomputes the residuals
+    # from its allocation: the same dict as a fresh check, float for float.
+    # Face-solved, vertex, closed-form (p2) and nonconverged reports
+    p = desk_params(T=0.05)
+    at_cap = replace(p, L=lmax_partial(p))
+    reports = [(solve_p1(p), p), (solve_p1(at_cap), at_cap),
+               (mode_local(desk_params(T=0.05, L=1e3)), desk_params(T=0.05, L=1e3))]
+    monkeypatch.setattr(coopmec.p1, "MAX_ITER", 50)
+    monkeypatch.setattr(coopmec.p1, "max_kkt_residual", lambda a, d, p: np.inf)
+    reports.append((solve_p1(p), p))
+    assert [rep.status for rep, _ in reports] == [STATUS_OPTIMAL] * 3 + [STATUS_NONCONVERGED]
+    for rep, q in reports:
+        fresh = check_feasible(rep.allocation, q)
+        assert rep.feasibility.residuals == fresh.residuals
+        assert rep.feasibility.max_violation == fresh.max_violation == max(
+            0.0, *fresh.residuals.values())
+        assert rep.feasibility.allocation is rep.allocation
