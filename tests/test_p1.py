@@ -18,8 +18,6 @@ from coopmec.model import (
     total_energy,
 )
 from coopmec.oracle import max_kkt_residual, oracle_p11
-from coopmec.p2 import mode_local
-from coopmec.scenario import Scenario
 from coopmec.p1 import (
     GAP_TOL,
     MAX_ITER,
@@ -32,6 +30,8 @@ from coopmec.p1 import (
     solve_p1,
     solve_restricted,
 )
+from coopmec.p2 import mode_local
+from coopmec.scenario import Scenario
 from conftest import desk_params, random_params
 
 EPS = np.finfo(float).eps
