@@ -15,7 +15,7 @@ the explicit conversion helpers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 LN2 = math.log(2.0)
@@ -294,65 +294,59 @@ def local_compute_energy(l: float, window: float, kappa: float, c: float) -> flo
 
 @dataclass(frozen=True, slots=True)
 class Allocation:
-    """A complete primal point: slots, powers, bit partition, derived fields.
+    """A complete primal point: the params it was built for, the slots,
+    powers and bit partition.
 
     tau4 = c_a*l_a/f_a_max, E_i = tau_i*P_i, f_u = c_u*l_u/T and
-    f_h = c_h*l_h/(T-tau1) (0 when l_h = 0) are derived; use
-    Allocation.build to keep them consistent.
+    f_h = c_h*l_h/(T-tau1) (0 when l_h = 0) are derived, as properties
+    computed on demand from these fields, so a kept allocation stores
+    only its own ten. Allocation.build(p, **fields) is the constructor;
+    a field left out is 0.
     """
 
-    tau1: float
-    tau2: float
-    tau3: float
-    tau4: float
-    P1: float
-    P2: float
-    P3: float
-    l_u: float
-    l_h: float
-    l_a: float
-    E1: float
-    E2: float
-    E3: float
-    f_u: float
-    f_h: float
+    params: SystemParams = field(repr=False)
+    tau1: float = 0.0
+    tau2: float = 0.0
+    tau3: float = 0.0
+    P1: float = 0.0
+    P2: float = 0.0
+    P3: float = 0.0
+    l_u: float = 0.0
+    l_h: float = 0.0
+    l_a: float = 0.0
 
     @staticmethod
-    def build(
-        p: SystemParams,
-        tau1: float = 0.0,
-        tau2: float = 0.0,
-        tau3: float = 0.0,
-        P1: float = 0.0,
-        P2: float = 0.0,
-        P3: float = 0.0,
-        l_u: float = 0.0,
-        l_h: float = 0.0,
-        l_a: float = 0.0,
-    ) -> "Allocation":
-        window_h = p.T - tau1
-        f_h = p.c_h * l_h / window_h if l_h > 0.0 and window_h > 0.0 else 0.0
-        return Allocation(
-            tau1=tau1,
-            tau2=tau2,
-            tau3=tau3,
-            tau4=p.c_a * l_a / p.f_a_max,
-            P1=P1,
-            P2=P2,
-            P3=P3,
-            l_u=l_u,
-            l_h=l_h,
-            l_a=l_a,
-            E1=tau1 * P1,
-            E2=tau2 * P2,
-            E3=tau3 * P3,
-            f_u=p.c_u * l_u / p.T,
-            f_h=f_h,
-        )
+    def build(p: SystemParams, **fields: float) -> "Allocation":
+        return Allocation(p, **fields)
 
     @staticmethod
     def zero(p: SystemParams) -> "Allocation":
         return Allocation.build(p)
+
+    @property
+    def tau4(self) -> float:
+        return self.params.c_a * self.l_a / self.params.f_a_max
+
+    @property
+    def E1(self) -> float:
+        return self.tau1 * self.P1
+
+    @property
+    def E2(self) -> float:
+        return self.tau2 * self.P2
+
+    @property
+    def E3(self) -> float:
+        return self.tau3 * self.P3
+
+    @property
+    def f_u(self) -> float:
+        return self.params.c_u * self.l_u / self.params.T
+
+    @property
+    def f_h(self) -> float:
+        window_h = self.params.T - self.tau1
+        return self.params.c_h * self.l_h / window_h if self.l_h > 0.0 and window_h > 0.0 else 0.0
 
 
 def total_energy(a: Allocation, p: SystemParams) -> float:
@@ -382,7 +376,7 @@ class ConstraintReport:
         return self.max_violation <= tol
 
 
-def check_feasible(a: Allocation, p: SystemParams, tol: float = 1e-9) -> ConstraintReport:
+def check_feasible(a: Allocation, p: SystemParams) -> ConstraintReport:
     """Evaluate every constraint of the partial-offloading problem at `a`."""
     return ConstraintReport(a, p, max(0.0, max(constraint_residuals(a, p).values())))
 

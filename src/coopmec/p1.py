@@ -3,10 +3,12 @@
 solve_p1 runs the full three-route problem; the same machinery with a
 route pinned off (see dual.Restriction) powers the comp-partial and
 comm-partial benchmark schemes. At L = capacity the answer is the
-capacity vertex (model.capacity_point). Below it, a KKT solve on the
-generic face from a cold start answers if it certifies; else the ascent
-stops at the first checkpoint where the KKT system on the face its
-recovery shows solves to a certified point, usually the first one.
+capacity vertex (model.capacity_point). Below it, KKT solves from cold
+starts answer if they certify: on the generic face, then, with the
+helper open, on the helper-only face (tau1 open, relay closed, deadline
+slack). Else the ascent stops at the first checkpoint where the KKT
+system on the face its recovery shows solves to a certified point,
+usually the first one.
 """
 
 from __future__ import annotations
@@ -84,11 +86,16 @@ class SolveReport:
     iterations: int = 0
     mode_label: str = ""
     l_max: float | None = None
-    feasibility: ConstraintReport | None = None
 
     @property
     def ok(self) -> bool:
         return self.status == STATUS_OPTIMAL
+
+    @property
+    def feasibility(self) -> ConstraintReport | None:
+        """The constraint check of the allocation, computed on demand."""
+        a = self.allocation
+        return None if a is None else check_feasible(a, a.params)
 
 
 def within_capacity(capacity, label: str):
@@ -187,8 +194,7 @@ def certify(alloc: Allocation, d: DualPoint | None, dual_bound: float,
         d is None or max_kkt_residual(alloc, d, p) <= CHECKPOINT_KKT_TOL))
     return SolveReport(
         status=STATUS_OPTIMAL if holds else STATUS_NONCONVERGED,
-        energy=energy, allocation=alloc, dual=d, duality_gap=gap,
-        mode_label=label, feasibility=feas,
+        energy=energy, allocation=alloc, dual=d, duality_gap=gap, mode_label=label,
     )
 
 
@@ -302,8 +308,11 @@ def _recovery_lp(sol, p: SystemParams, rest: Restriction) -> Allocation | None:
 
 def _open_prices(a: Allocation) -> list[int]:
     """The prices on an open route of `a`, as indices into (lam1, lam2,
-    lam3, mu1): lam1 with tau1 open, lam2 and lam3 with tau2, mu1 always."""
-    return [k for k, on in enumerate((a.tau1 > 0.0, a.tau2 > 0.0, a.tau2 > 0.0, True)) if on]
+    lam3, mu1): lam1 with tau1 open, lam2 and lam3 with tau2, mu1 with a
+    relay slot. Without one the deadline row is tau1 <= T, slack at any
+    point that gives the helper time to compute, so mu1 = 0 there."""
+    relay = a.tau2 > 0.0 or a.tau3 > 0.0
+    return [k for k, on in enumerate((a.tau1 > 0.0, a.tau2 > 0.0, a.tau2 > 0.0, relay)) if on]
 
 
 def _priced_rows(d: DualPoint, a: Allocation, p: SystemParams) -> list[int]:
@@ -329,8 +338,10 @@ def _face_system(d0: DualPoint, a: Allocation, prices: list[int], p: SystemParam
     the open slots and l_a; equations F: rho_i = 0 per open slot and each
     of those prices' rows and the partition held with equality, at the
     dual module's closed forms sub1-sub4. With l_a > 0, mu2 makes its
-    coefficient exactly 0. Other open-route prices are 0; closed-route
-    ones keep d0's value. The powers and bits of `a` only size the energy
+    coefficient exactly 0. Other open-route prices are 0, and so is mu1
+    off the relay (_open_prices); lam1 on a closed helper keeps d0's
+    value, and a closed relay's prices do not enter F (_face_solve prices
+    them after Newton). The powers and bits of `a` only size the energy
     that weighs the rho rows. Returns (z, lo, hi, state, jacobian): the
     start, the box, state(z) -> (F, st) and jacobian(st) -> dF/dz at st's z.
 
@@ -348,7 +359,7 @@ def _face_system(d0: DualPoint, a: Allocation, prices: list[int], p: SystemParam
     slots = [i for i, t in enumerate((a.tau1, a.tau2, a.tau3)) if t > 0.0]
     la_free = bool(a.l_a > 0.0)
     base = [d0.lam1, d0.lam2, d0.lam3, d0.mu1, d0.mu2]
-    for k in _open_prices(a):
+    for k in _open_prices(a) + [3]:  # mu1 too: off the relay its row is slack
         if k not in prices:
             base[k] = 0.0
     n_dual = len(prices) + (not la_free)
@@ -430,6 +441,11 @@ def _face_solve(d0: DualPoint, a: Allocation, prices, p: SystemParams, rest: Res
     scaled residual, so a start outside Newton's reach fails fast.
     Returns (allocation, prices, dual value), or None unless Newton gets
     within 1e-12 inside the box and the domain.
+
+    Where `rest` opens the relay and the face closes it (tau2 = tau3 =
+    l_a = 0), lam2 and lam3 are priced before the dual value is taken
+    (_closed_relay_prices), so that the closed slots and l_a stay closed
+    at the dual point.
     """
     z, lo, hi, state, jacobian = _face_system(d0, a, prices, p)
     try:
@@ -451,6 +467,8 @@ def _face_solve(d0: DualPoint, a: Allocation, prices, p: SystemParams, rest: Res
         if not norm <= 1e-12:
             return None
         v, tau, l_a, l_h, _, s1, s2, s3 = st
+        if rest.relay_path and tau[1] == tau[2] == l_a == 0.0:
+            v[1:3] = _closed_relay_prices(v[3], v[4], p)
         d = DualPoint(*v)
         g = eval_dual_restricted(d, p, rest)[0]
     except (np.linalg.LinAlgError, DualInfeasibleError):
@@ -460,13 +478,30 @@ def _face_solve(d0: DualPoint, a: Allocation, prices, p: SystemParams, rest: Res
         l_u=min(max(p.L - l_h - l_a, 0.0), l_u_max(p)), l_h=l_h, l_a=l_a), d, g
 
 
+def _closed_relay_prices(mu1: float, mu2: float, p: SystemParams) -> tuple[float, float]:
+    """(lam2, lam3) at a point with the relay closed: their sum s = mu2 -
+    mu1 c_a/f_a_max makes the l_a coefficient 0, and the split keeps rho2
+    and rho3 >= 0 where it can. P2 stays 0 while lam2 g0 + lam3 g01 is
+    small, so s goes to the weaker of the two links: to lam2 if g0 < g01,
+    up to ln2/(B g1), where P3 would open, and the rest to lam3. The cap
+    sits 1e-15 relative below ln2/(B g1): at the cap itself sub3's
+    rounding opens P3 on about a fifth of random instances."""
+    s = mu2 - mu1 * p.c_a / p.f_a_max
+    lam2 = min(s, LN2 / (p.B * p.g1) * (1.0 - 1e-15)) if p.g0 < p.g01 else 0.0
+    lam3 = s - lam2
+    # the rounding of s - lam2 may leave the coefficient an ulp below 0
+    deficit = mu2 - (lam2 + lam3 + mu1 * p.c_a / p.f_a_max)
+    return lam2, lam3 + max(deficit, 0.0)
+
+
 def _cold_start(p: SystemParams, rest: Restriction, scales: np.ndarray):
     """(d0, a, prices) on the generic face of `rest`: every slot of an open
     route open, l_a > 0 with the relay, every open-route price positive.
     d0 is the ellipsoid's initial center; each open slot is T/4 at half
     its power cap, l_u = l_h = L/3 and l_a = L/3 with the relay. Powers
     and bits only size the energy that weighs the rho rows (with none, the
-    weight is T/1e-30, and Newton rarely certifies)."""
+    weight is T/1e-30, and Newton rarely certifies). Without the relay,
+    the face names lam1 only (_open_prices)."""
     T, third = p.T, p.L / 3.0
     h, r = rest.helper_path, rest.relay_path
     a = Allocation.build(
@@ -476,25 +511,43 @@ def _cold_start(p: SystemParams, rest: Restriction, scales: np.ndarray):
     return rest.expand(0.25 * scales), a, _open_prices(a)
 
 
+def _helper_start(p: SystemParams):
+    """(d0, a, prices) on the helper-only face: tau1 open at T/4 and half
+    the power cap, the relay closed, l_u = l_h = L/2, and lam1 the one
+    price. The prices are consistent with that split: mu2 = 3 kappa_u
+    c_u^3 (L/2)^2/T^2, the marginal local cost at L/2, lam1 = mu2/2 and
+    mu1 = 0 (the deadline is slack). The closed relay's prices are set
+    after Newton (_face_solve)."""
+    half = 0.5 * p.L
+    mu2 = 3.0 * p.kappa_u * p.c_u**3 * half**2 / p.T**2
+    a = Allocation.build(p, tau1=0.25 * p.T, P1=0.5 * p.P_u_max, l_u=half, l_h=half)
+    return DualPoint(0.5 * mu2, 0.0, 0.0, 0.0, mu2), a, _open_prices(a)
+
+
 def _cold_attempt(p: SystemParams, rest: Restriction, label: str, scales) -> SolveReport | None:
-    """The report of the face solve from _cold_start if it certifies, else None."""
-    face = _face_solve(*_cold_start(p, rest, scales), p, rest)
-    report = face and certify(*face, p, label)
-    return report if report and report.ok else None
+    """The report of the first cold face solve that certifies: from
+    _cold_start, then, with the helper open, from _helper_start; else None."""
+    for start in [_cold_start(p, rest, scales)] + [_helper_start(p)] * rest.helper_path:
+        face = _face_solve(*start, p, rest)
+        report = face and certify(*face, p, label)
+        if report and report.ok:
+            return report
+    return None
 
 
 def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveReport:
     """Dual ascent + recovery for the (possibly pinned) convex problem.
 
     Assumes the instance is feasible for the restriction; callers do the
-    capacity check. The answer is, in order: at capacity, the capacity
-    vertex where it is unique (the one feasible point: gap 0.0, no dual, 0
-    iterations); the cold KKT solve on the restriction's generic face
-    (_cold_attempt) if it certifies, with its dual and 0 iterations; else
-    one ellipsoid run that maximizes the dual and stops on the
-    certificate. Every time its gap bound drops a decade (from 1 down),
-    the primal is recovered at the ellipsoid's center, then at the best
-    dual point. The KKT solve on the face each recovery shows
+    capacity check. The answer is, in order: at L = 0 the zero allocation;
+    at capacity, the capacity vertex where it is unique (the one feasible
+    point: gap 0.0, no dual, 0 iterations); the cold KKT solve on the
+    restriction's generic face, then with the helper open on the
+    helper-only face (_cold_attempt), the first that certifies, with its
+    dual and 0 iterations; else one ellipsoid run that maximizes the dual
+    and stops on the certificate. Every time its gap bound drops a decade
+    (from 1 down), the primal is recovered at the ellipsoid's center, then
+    at the best dual point. The KKT solve on the face each recovery shows
     (_priced_rows) is certified against the dual value at its own prices;
     failing that, the recovery is certified against the best dual value.
     The run ends at the first `optimal` report (gap within GAP_TOL,

@@ -13,7 +13,7 @@ import math
 import sys
 
 from .dual import DualPoint, solve_sub2, solve_sub3
-from .model import LN2, Allocation, SystemParams, check_feasible, l_a_max, l_h_max, l_u_max
+from .model import LN2, Allocation, SystemParams, l_a_max, l_h_max, l_u_max
 from .model import r0, r01, r1, total_energy
 from .p1 import STATUS_INFEASIBLE, STATUS_OPTIMAL, SolveReport, certify, within_capacity
 
@@ -29,7 +29,7 @@ def mode_local(p: SystemParams) -> SolveReport:
     a = Allocation.build(p, l_u=p.L)
     return SolveReport(
         status=STATUS_OPTIMAL, energy=total_energy(a, p), allocation=a,
-        duality_gap=0.0, mode_label=MODE_LOCAL, feasibility=check_feasible(a, p),
+        duality_gap=0.0, mode_label=MODE_LOCAL,
     )
 
 
@@ -61,8 +61,7 @@ def mode_comp_coop(p: SystemParams) -> SolveReport:
     if p.L == 0.0:
         a = Allocation.zero(p)
         return SolveReport(status=STATUS_OPTIMAL, energy=0.0, allocation=a,
-                           duality_gap=0.0, mode_label=MODE_COMP,
-                           feasibility=check_feasible(a, p))
+                           duality_gap=0.0, mode_label=MODE_COMP)
 
     # at the capacity lo and hi meet at tau1_b, and within fits' allowance
     # they cross by rounding; the convex objective then takes an end
@@ -87,7 +86,7 @@ def mode_comp_coop(p: SystemParams) -> SolveReport:
     energy = _comp_objective(tau1, p)
     return SolveReport(
         status=STATUS_OPTIMAL, energy=energy, allocation=alloc, duality_gap=0.0,
-        mode_label=MODE_COMP, feasibility=check_feasible(alloc, p),
+        mode_label=MODE_COMP,
     )
 
 

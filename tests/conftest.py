@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import coopmec.p1
 from coopmec.model import Geometry, SystemParams, pathloss
 from coopmec.p1 import lmax_partial
 
@@ -46,6 +47,12 @@ def random_params(rng: np.random.Generator, frac: float | None = None) -> System
     frac = frac if frac is not None else float(rng.uniform(0.05, 0.8))
     base["L"] = frac * lmax
     return SystemParams(**base)
+
+
+def no_cold_attempt(monkeypatch):
+    """Turn the cold face solves off, so every solve below capacity runs
+    the ascent."""
+    monkeypatch.setattr(coopmec.p1, "_cold_attempt", lambda *args: None)
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from coopmec.dual import (
 from coopmec.model import LN2, SystemParams, r0, r01, r1
 from coopmec.oracle import refine_grid
 from coopmec.p1 import solve_p1
-from conftest import desk_params, random_params
+from conftest import desk_params, no_cold_attempt, random_params
 
 
 def random_dual(rng, p: SystemParams) -> DualPoint:
@@ -386,7 +386,9 @@ def _hex(values):
 
 
 def _ascent_points(monkeypatch, scheme, instances):
-    """Every point the solver hands the evaluator while solving `scheme`."""
+    """Every point the solver hands the evaluator while solving `scheme`
+    by the ascent (the cold face solves are off: they answer most of these
+    instances with a handful of points)."""
     points = []
     real = coopmec.p1.eval_dual_restricted
 
@@ -394,6 +396,7 @@ def _ascent_points(monkeypatch, scheme, instances):
         points.append((d, p))
         return real(d, p, rest)
 
+    no_cold_attempt(monkeypatch)
     monkeypatch.setattr(coopmec.p1, "eval_dual_restricted", record)
     for p in instances:
         run_benchmark(scheme, p)

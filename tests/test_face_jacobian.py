@@ -10,10 +10,11 @@ from coopmec.p1 import _cold_start, _dual_scales, _face_system, _priced_rows
 from conftest import desk_params
 
 # per restriction: the open slots, whether l_a > 0, and the unknowns z of
-# its generic face (every open-route price counts)
+# its generic face (every open-route price counts; without a relay slot
+# the deadline is slack, so mu1 is not one)
 FACES = {
     "full": (FULL, (0, 1, 2), True, ("lam1", "lam2", "lam3", "mu1", "tau1", "tau2", "tau3", "l_a")),
-    "comp-partial": (COMP_PARTIAL, (0,), False, ("lam1", "mu1", "mu2", "tau1")),
+    "comp-partial": (COMP_PARTIAL, (0,), False, ("lam1", "mu2", "tau1")),
     "comm-partial": (COMM_PARTIAL, (1, 2), True, ("lam2", "lam3", "mu1", "tau2", "tau3", "l_a")),
 }
 

@@ -18,7 +18,7 @@ from coopmec.model import (
     rate,
     total_energy,
 )
-from conftest import desk_params
+from conftest import desk_params, random_params
 
 
 def test_dbm_to_watts():
@@ -172,6 +172,28 @@ def test_energy_invariant_to_power_representation(p_default, rng):
         a = Allocation.build(p_default, tau2=tau, P2=P)
         assert a.E2 == pytest.approx(tau * P, rel=1e-15)
         assert total_energy(a, p_default) == pytest.approx(tau * P, rel=1e-12)
+
+
+def test_allocation_derives_the_fields_build_stored(rng):
+    # tau4, E1-E3, f_u and f_h are properties now; each equals the
+    # expression build stored before, float for float, with l_h = 0 and
+    # tau1 = T among the draws
+    for k in range(300):
+        p = random_params(rng)
+        T = p.T
+        tau1 = (0.0, T, float(rng.uniform(0.0, T)))[k % 3]
+        tau2, tau3 = (float(x) for x in rng.uniform(0.0, T, size=2))
+        P1, P2, P3 = (float(x) for x in rng.uniform(0.0, 10.0, size=3))
+        l_u, l_h, l_a = (float(x) for x in rng.uniform(0.0, p.L, size=3))
+        l_h *= k % 2
+        a = Allocation.build(p, tau1=tau1, tau2=tau2, tau3=tau3, P1=P1, P2=P2, P3=P3,
+                             l_u=l_u, l_h=l_h, l_a=l_a)
+        window_h = T - tau1
+        assert a.params is p
+        assert a.tau4 == p.c_a * l_a / p.f_a_max
+        assert (a.E1, a.E2, a.E3) == (tau1 * P1, tau2 * P2, tau3 * P3)
+        assert a.f_u == p.c_u * l_u / T
+        assert a.f_h == (p.c_h * l_h / window_h if l_h > 0.0 and window_h > 0.0 else 0.0)
 
 
 def test_check_feasible_zero_allocation():

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -32,7 +34,7 @@ from coopmec.p1 import (
 )
 from coopmec.p2 import mode_local
 from coopmec.scenario import Scenario
-from conftest import desk_params, random_params
+from conftest import desk_params, no_cold_attempt, random_params
 
 EPS = np.finfo(float).eps
 
@@ -204,7 +206,8 @@ def test_solve_p1_certificates(p_default):
     assert rep.duality_gap <= 1e-5
     assert rep.feasibility.feasible(1e-9)
     assert rep.dual is not None and rep.dual.feasible(p_default, tol=1e-12)
-    assert rep.iterations > 0
+    # answered cold on the helper-only face (0 iterations) or by the ascent
+    assert rep.iterations < MAX_ITER
 
 
 def test_solve_p1_monotone_in_T():
@@ -469,7 +472,7 @@ def test_capacity_vertex_yields_to_the_ascent_where_it_is_not_unique(monkeypatch
     p = desk_params(T=0.05)
     p = replace(p, L=lmax_partial(p))
     assert capacity_point(p) is None
-    _no_cold_attempt(monkeypatch)
+    no_cold_attempt(monkeypatch)
     runs = _count_runs(monkeypatch)
     rep = solve_p1(p)
     _assert_certified(rep, p)
@@ -571,12 +574,6 @@ def test_solve_restricted_comm_partial_structure():
     assert a.l_h == 0.0
 
 
-def _no_cold_attempt(monkeypatch):
-    """Turn the cold face solve off, so every solve below capacity runs
-    the ascent."""
-    monkeypatch.setattr(coopmec.p1, "_cold_attempt", lambda *args: None)
-
-
 def _count_runs(monkeypatch):
     """Record the result of every ellipsoid run from here on."""
     runs = []
@@ -621,7 +618,7 @@ def test_breakdown_checkpoint_certifies_before_the_cap(monkeypatch, seed, k):
     # recovered twice, and the one run certifies before the cap. The cold
     # face solve certifies draw 100/8; it is turned off so that the
     # breakdown checkpoint stays covered here
-    _no_cold_attempt(monkeypatch)
+    no_cold_attempt(monkeypatch)
     recovered, breakdowns = [], []
     real_recover = coopmec.p1.recover_primal
     monkeypatch.setattr(coopmec.p1, "recover_primal",
@@ -697,20 +694,35 @@ def _fig4_partial_ops():
             for scheme in ("joint-partial", "comp-partial", "comm-partial")]
 
 
+def _edge_partial_ops():
+    """The capacity-edge ops of the dual-pipeline schemes below capacity:
+    joint-, comp- and comm-partial at 0.999 and 1e-6 of their capacity on
+    each edge template."""
+    return [(scheme, replace(make(), L=frac * _scheme_capacity(make(), scheme)))
+            for make in EDGE_TEMPLATES.values() for scheme in PARTIAL_SCHEMES
+            for frac in (0.999, 1e-6)]
+
+
+def _relay_closed(a) -> bool:
+    return a.tau1 > 0.0 and a.tau2 == a.tau3 == a.l_a == 0.0
+
+
 def test_cold_attempt_changes_no_answer(monkeypatch):
-    # each op of the acceptance batch and of figure 4's partial points is
-    # solved with the cold face solve and without it: the same status and
-    # energy (within 1e-12 relative; 1.6e-15 measured), and where the
-    # cold attempt fails the ascent makes the same iterations as without it
+    # each op of the acceptance batch, of figure 4's partial points and of
+    # the capacity-edge partial ops below capacity is solved with the cold
+    # face solves and without them: the same status and energy (within
+    # 1e-12 relative; 1.0e-14 measured), and where both cold starts fail
+    # the ascent makes the same iterations as without them
     rng = np.random.default_rng(20250808)
-    ops = [("joint-partial", random_params(rng)) for _ in range(50)] + _fig4_partial_ops()
+    ops = ([("joint-partial", random_params(rng)) for _ in range(50)]
+           + _fig4_partial_ops() + _edge_partial_ops())
     attempts = []
     real = coopmec.p1._cold_attempt
     monkeypatch.setattr(coopmec.p1, "_cold_attempt",
                         lambda *args: attempts.append(real(*args)) or attempts[-1])
     with_cold = [run_benchmark(scheme, p) for scheme, p in ops]
     assert len(attempts) == len(ops)
-    _no_cold_attempt(monkeypatch)
+    no_cold_attempt(monkeypatch)
     for (scheme, p), rep, cold in zip(ops, with_cold, attempts):
         ref = run_benchmark(scheme, p)
         assert rep.status == ref.status == STATUS_OPTIMAL
@@ -720,8 +732,59 @@ def test_cold_attempt_changes_no_answer(monkeypatch):
         else:
             assert rep is cold and rep.iterations == 0
             _assert_certified(rep, p)
-    certified = sum(cold is not None for cold in attempts)
-    assert certified >= 30  # 34 of the batch and 4 of figure 4 measured
+    # 40 of the batch, 20 of figure 4 and 18 of the 24 edge ops measured;
+    # 16 are joint-partial answers on the helper-only face
+    assert sum(cold is not None for cold in attempts) >= 75
+    assert sum(cold is not None and scheme == "joint-partial" and _relay_closed(cold.allocation)
+               for (scheme, _), cold in zip(ops, attempts)) >= 14
+
+
+def test_helper_only_points_certify_cold():
+    # figure 4's comp-partial points, and its joint-partial points from
+    # T = 50 ms up, sit on the helper-only face: tau1 open, relay closed,
+    # deadline slack. Each certifies cold. At its dual the closed relay
+    # stays closed (sub2 and sub3 keep tau2 and tau3 at 0), and with the
+    # relay open in the restriction the l_a coefficient is 0 (exactly, as
+    # measured)
+    sc = Scenario(sweep_param="T", sweep_from=10.0, sweep_to=100.0, sweep_steps=10)
+    ops = [(scheme, sc.at_sweep_value(T)) for T in sc.sweep_values()
+           for scheme in ("comp-partial", "joint-partial") if scheme == "comp-partial" or T >= 50.0]
+    assert len(ops) == 16
+    for scheme, p in ops:
+        rep = run_benchmark(scheme, p)
+        _assert_certified(rep, p)
+        assert rep.iterations == 0 and _relay_closed(rep.allocation)
+        assert rep.dual.mu1 == 0.0
+        assert solve_sub2(rep.dual, p)["tau2"] == solve_sub3(rep.dual, p)["tau3"] == 0.0
+        if scheme == "joint-partial":
+            assert abs(rep.dual.bounded_below_slack(p)) <= 1e-15 * rep.dual.mu2
+
+
+def test_kept_reports_stay_small():
+    # bytes a kept solve_p1 report retains (tracemalloc) on the acceptance
+    # batch, beyond what the same solves retain when their reports are
+    # dropped: 650-680 measured, against about 940 when an allocation
+    # stored its derived fields and a report its ConstraintReport
+    rng = np.random.default_rng(20250808)
+    batch = [random_params(rng) for _ in range(50)]
+    for p in batch:
+        solve_p1(p)
+    kept = [None] * len(batch)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for p in batch:
+            solve_p1(p)
+        gc.collect()
+        dropped = tracemalloc.get_traced_memory()[0] - base
+        for i, p in enumerate(batch):
+            kept[i] = solve_p1(p)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base - 2 * dropped
+    finally:
+        tracemalloc.stop()
+    assert retained / len(batch) <= 750
 
 
 def test_reports_compute_their_residuals_on_demand(monkeypatch):
