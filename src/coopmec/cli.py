@@ -88,6 +88,7 @@ def _cmd_solve(args) -> int:
         print(f"duality_gap: {_fmt(rep.duality_gap)}")
         print(f"iterations:  {rep.iterations}")
         print(f"mode:        {rep.mode_label}")
+        print(f"certified_by: {rep.certified_by}")
         print(f"bits:        l_u={_fmt(a.l_u)} l_h={_fmt(a.l_h)} l_a={_fmt(a.l_a)}")
         print(f"slots_s:     tau1={_fmt(a.tau1)} tau2={_fmt(a.tau2)} "
               f"tau3={_fmt(a.tau3)} tau4={_fmt(a.tau4)}")

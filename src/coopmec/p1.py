@@ -3,18 +3,21 @@
 solve_p1 runs the full three-route problem; the same machinery with a
 route pinned off (see dual.Restriction) powers the comp-partial and
 comm-partial benchmark schemes. At L = capacity the answer is the
-capacity vertex (model.capacity_point). Below it, KKT solves from cold
-starts answer if they certify: on the generic face, then, with the
-helper open, on the helper-only face (tau1 open, relay closed, deadline
-slack). Else the ascent stops at the first checkpoint where the KKT
-system on the face its recovery shows solves to a certified point,
-usually the first one.
+capacity vertex (model.capacity_point). Below it, KKT solves from the
+cold starts of COLD_STARTS answer if they certify, tried in order: the
+generic face from the ellipsoid's initial center; with the helper open,
+the helper-only face (tau1 open, relay closed, deadline slack); the
+generic face again from prices at 1/20 of the dual scales; and with the
+relay open, the direct-link face (tau3 closed, lam2 = 0). Else the
+ascent stops at the first checkpoint where the KKT system on the face
+its recovery shows solves to a certified point, usually the first one.
+Each report names the path that gave it (SolveReport.certified_by).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,6 +71,24 @@ CHECKPOINT_KKT_TOL = 1e-6  # scaled KKT residual an optimal report must reach
 # cap only ends instances that never certify
 MAX_ITER = 5000
 MAX_HALVINGS = 7  # per Newton step of a face solve; certified ones need <= 6
+# the prices of the ellipsoid's initial center, and of the first cold
+# start, as a multiple of _dual_scales
+CENTER_SCALE = 0.25
+# the prices of the second cold start on the generic face, and of the
+# direct-link one, as a multiple of _dual_scales. On the 8 generic-face
+# acceptance ops that the first two cold starts leave to the ascent, the
+# certified optimum's lam and mu2 sit at 0.001-0.13 of the scales (mu1
+# lower still), well below CENTER_SCALE; from 1/20, Newton certifies 6
+# of them, 4 of figure 4's 10 ascent ops and 66 of 142 on random draws
+SCALED_START = 1.0 / 20.0
+
+
+#: how a report's allocation was obtained (SolveReport.certified_by): the
+#: capacity vertex; a cold start (COLD_STARTS); in the ascent, the face
+#: solve of a checkpoint or, failing it, the recovery itself; and the
+#: closed forms (L = 0, p2's local mode) and p2's 1-D searches
+CERTIFIED_BY = ("vertex", "cold-generic", "cold-helper", "cold-scaled", "cold-direct",
+                "checkpoint-face", "recovery", "closed-form", "1-d-search")
 
 
 class RecoveryError(RuntimeError):
@@ -86,6 +107,7 @@ class SolveReport:
     iterations: int = 0
     mode_label: str = ""
     l_max: float | None = None
+    certified_by: str = ""  # one of CERTIFIED_BY; "" with no allocation
 
     @property
     def ok(self) -> bool:
@@ -117,7 +139,10 @@ def within_capacity(capacity, label: str):
 
 
 def _dual_scales(p: SystemParams, rest: Restriction) -> np.ndarray:
-    """Per-coordinate magnitudes bracketing the dual optimum."""
+    """Per-coordinate magnitudes bracketing the dual optimum. Measured
+    optima sit well inside: on the generic-face acceptance ops that the
+    first two cold starts leave to the ascent, lam1-lam3 and mu2 sit at
+    0.001-0.13 of their scales and mu1 lower still (SCALED_START)."""
     lam1_s = LN2 / p.B * (1.0 / p.g01 + p.P_u_max)
     lam2_s = LN2 / p.B * max(1.0 / p.g0 + p.P_u_max, 1.0 / p.g1 + p.P_h_max)
     lam3_s = LN2 / p.B * (1.0 / p.g01 + p.P_u_max)
@@ -494,12 +519,12 @@ def _closed_relay_prices(mu1: float, mu2: float, p: SystemParams) -> tuple[float
     return lam2, lam3 + max(deficit, 0.0)
 
 
-def _cold_start(p: SystemParams, rest: Restriction, scales: np.ndarray):
+def _generic_face(p: SystemParams, rest: Restriction, scale: float, scales: np.ndarray):
     """(d0, a, prices) on the generic face of `rest`: every slot of an open
     route open, l_a > 0 with the relay, every open-route price positive.
-    d0 is the ellipsoid's initial center; each open slot is T/4 at half
-    its power cap, l_u = l_h = L/3 and l_a = L/3 with the relay. Powers
-    and bits only size the energy that weighs the rho rows (with none, the
+    d0 is `scale` times the scales; each open slot is T/4 at half its
+    power cap, l_u = l_h = L/3 and l_a = L/3 with the relay. Powers and
+    bits only size the energy that weighs the rho rows (with none, the
     weight is T/1e-30, and Newton rarely certifies). Without the relay,
     the face names lam1 only (_open_prices)."""
     T, third = p.T, p.L / 3.0
@@ -508,29 +533,77 @@ def _cold_start(p: SystemParams, rest: Restriction, scales: np.ndarray):
         p, tau1=0.25 * T * h, tau2=0.25 * T * r, tau3=0.25 * T * r,
         P1=0.5 * p.P_u_max * h, P2=0.5 * p.P_u_max * r, P3=0.5 * p.P_h_max * r,
         l_u=third, l_h=third, l_a=third * r)
-    return rest.expand(0.25 * scales), a, _open_prices(a)
+    return rest.expand(scale * scales), a, _open_prices(a)
 
 
-def _helper_start(p: SystemParams):
-    """(d0, a, prices) on the helper-only face: tau1 open at T/4 and half
-    the power cap, the relay closed, l_u = l_h = L/2, and lam1 the one
-    price. The prices are consistent with that split: mu2 = 3 kappa_u
-    c_u^3 (L/2)^2/T^2, the marginal local cost at L/2, lam1 = mu2/2 and
-    mu1 = 0 (the deadline is slack). The closed relay's prices are set
-    after Newton (_face_solve)."""
+def _cold_start(p: SystemParams, rest: Restriction, scales: np.ndarray):
+    """The generic face from the ellipsoid's initial center (CENTER_SCALE
+    of the scales). The generic face is the common one, and from here
+    Newton certifies 34 of the 50 acceptance ops."""
+    return _generic_face(p, rest, CENTER_SCALE, scales)
+
+
+def _helper_start(p: SystemParams, rest: Restriction, scales: np.ndarray):
+    """With the helper open, the helper-only face: tau1 open at T/4 and
+    half the power cap, the relay closed, l_u = l_h = L/2, and lam1 the
+    one price. Figure 4's comp-partial points, and its joint-partial ones
+    from T = 50 ms, sit there. The prices are consistent with that split:
+    mu2 = 3 kappa_u c_u^3 (L/2)^2/T^2, the marginal local cost at L/2,
+    lam1 = mu2/2 and mu1 = 0 (the deadline is slack). The closed relay's
+    prices are set after Newton (_face_solve). None with the helper
+    closed."""
+    if not rest.helper_path:
+        return None
     half = 0.5 * p.L
     mu2 = 3.0 * p.kappa_u * p.c_u**3 * half**2 / p.T**2
     a = Allocation.build(p, tau1=0.25 * p.T, P1=0.5 * p.P_u_max, l_u=half, l_h=half)
     return DualPoint(0.5 * mu2, 0.0, 0.0, 0.0, mu2), a, _open_prices(a)
 
 
+def _scaled_start(p: SystemParams, rest: Restriction, scales: np.ndarray):
+    """The generic face again, from prices at SCALED_START of the scales:
+    the optimum's prices mostly sit well below the ellipsoid's center,
+    and from there Newton reaches generic faces that the first start
+    misses (6 of the 50 acceptance ops)."""
+    return _generic_face(p, rest, SCALED_START, scales)
+
+
+def _direct_start(p: SystemParams, rest: Restriction, scales: np.ndarray):
+    """With the relay open, the direct-link face: the _scaled_start point
+    with tau3 closed, priced by lam1 (with the helper), lam3 and mu1, and
+    lam2 = 0. With lam2 = 0, sub3 prices tau3 at rho3 = mu1 >= 0, so it
+    stays closed at the dual point. The AP takes l_a from the
+    broadcast slot alone: the sum-rate row is unpriced and the helper's
+    decode row (lam3) binds. Acceptance ops #23 and #39, and the strong
+    direct link at 0.999 of capacity in joint- and comm-partial, sit
+    there; no other start names that face. None with the relay closed."""
+    if not rest.relay_path:
+        return None
+    d0, a, prices = _scaled_start(p, rest, scales)
+    return d0, replace(a, tau3=0.0, P3=0.0), [k for k in prices if k != 1]
+
+
+#: the cold starts _cold_attempt tries, in order, each with the name that
+#: a report it certifies carries (SolveReport.certified_by). A start is
+#: (p, rest, scales) -> (d0, a, prices) for _face_solve, or None where
+#: `rest` closes a route its face needs.
+COLD_STARTS = (
+    ("cold-generic", _cold_start),
+    ("cold-helper", _helper_start),
+    ("cold-scaled", _scaled_start),
+    ("cold-direct", _direct_start),
+)
+
+
 def _cold_attempt(p: SystemParams, rest: Restriction, label: str, scales) -> SolveReport | None:
-    """The report of the first cold face solve that certifies: from
-    _cold_start, then, with the helper open, from _helper_start; else None."""
-    for start in [_cold_start(p, rest, scales)] + [_helper_start(p)] * rest.helper_path:
-        face = _face_solve(*start, p, rest)
+    """The report of the first cold face solve that certifies, trying
+    COLD_STARTS in order; else None."""
+    for name, start in COLD_STARTS:
+        begin = start(p, rest, scales)
+        face = begin and _face_solve(*begin, p, rest)
         report = face and certify(*face, p, label)
         if report and report.ok:
+            report.certified_by = name
             return report
     return None
 
@@ -541,10 +614,11 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
     Assumes the instance is feasible for the restriction; callers do the
     capacity check. The answer is, in order: at L = 0 the zero allocation;
     at capacity, the capacity vertex where it is unique (the one feasible
-    point: gap 0.0, no dual, 0 iterations); the cold KKT solve on the
-    restriction's generic face, then with the helper open on the
-    helper-only face (_cold_attempt), the first that certifies, with its
-    dual and 0 iterations; else one ellipsoid run that maximizes the dual
+    point: gap 0.0, no dual, 0 iterations); the first cold KKT solve of
+    COLD_STARTS that certifies (_cold_attempt: the generic face, the
+    helper-only face with the helper open, the generic face from scaled
+    prices, the direct-link face with the relay open), with its dual and
+    0 iterations; else one ellipsoid run that maximizes the dual
     and stops on the certificate. Every time its gap bound drops a decade
     (from 1 down), the primal is recovered at the ellipsoid's center, then
     at the best dual point. The KKT solve on the face each recovery shows
@@ -556,12 +630,17 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
     point before the restart, and a point the previous check rejected is
     not recovered again. A run that never certifies ends at MAX_ITER with
     the same check at the best point, `nonconverged` unless it holds.
+    The report's certified_by names the path (CERTIFIED_BY).
     """
     if p.L == 0.0:
-        return certify(Allocation.zero(p), DualPoint(0, 0, 0, 0, 0), 0.0, p, label)
+        report = certify(Allocation.zero(p), DualPoint(0, 0, 0, 0, 0), 0.0, p, label)
+        report.certified_by = "closed-form"
+        return report
     vertex = capacity_point(p, rest.helper_path, rest.relay_path)
     if vertex is not None and p.L >= vertex.l_u + vertex.l_h + vertex.l_a:
-        return certify(vertex, None, total_energy(vertex, p), p, label)
+        report = certify(vertex, None, total_energy(vertex, p), p, label)
+        report.certified_by = "vertex"
+        return report
     scales = _dual_scales(p, rest)
     cold = _cold_attempt(p, rest, label, scales)
     if cold is not None:
@@ -576,11 +655,13 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
         except (RecoveryError, DualInfeasibleError):
             return None
         face = _face_solve(d, alloc, _priced_rows(d, alloc, p), p, rest)
-        if face is not None:
-            report = certify(*face, p, label)
-            if report.ok:
-                return report
-        return certify(alloc, d, dual_bound, p, label)
+        report = face and certify(*face, p, label)
+        if report and report.ok:
+            report.certified_by = "checkpoint-face"
+        else:
+            report = certify(alloc, d, dual_bound, p, label)
+            report.certified_by = "recovery"
+        return report
 
     certified: list[SolveReport] = []
     rejected: list[np.ndarray] = []  # the points the previous call was given
@@ -601,7 +682,7 @@ def solve_restricted(p: SystemParams, rest: Restriction, label: str) -> SolveRep
         rejected[:] = [center, point]
         return False
 
-    res = ell.ellipsoid_run(_make_oracle(p, rest), 0.25 * scales, 8.0 * scales,
+    res = ell.ellipsoid_run(_make_oracle(p, rest), CENTER_SCALE * scales, 8.0 * scales,
                             max_iter=MAX_ITER, checkpoint=checkpoint)
     if certified:
         report = certified[0]

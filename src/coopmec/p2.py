@@ -29,7 +29,7 @@ def mode_local(p: SystemParams) -> SolveReport:
     a = Allocation.build(p, l_u=p.L)
     return SolveReport(
         status=STATUS_OPTIMAL, energy=total_energy(a, p), allocation=a,
-        duality_gap=0.0, mode_label=MODE_LOCAL,
+        duality_gap=0.0, mode_label=MODE_LOCAL, certified_by="closed-form",
     )
 
 
@@ -61,7 +61,7 @@ def mode_comp_coop(p: SystemParams) -> SolveReport:
     if p.L == 0.0:
         a = Allocation.zero(p)
         return SolveReport(status=STATUS_OPTIMAL, energy=0.0, allocation=a,
-                           duality_gap=0.0, mode_label=MODE_COMP)
+                           duality_gap=0.0, mode_label=MODE_COMP, certified_by="closed-form")
 
     # at the capacity lo and hi meet at tau1_b, and within fits' allowance
     # they cross by rounding; the convex objective then takes an end
@@ -86,7 +86,7 @@ def mode_comp_coop(p: SystemParams) -> SolveReport:
     energy = _comp_objective(tau1, p)
     return SolveReport(
         status=STATUS_OPTIMAL, energy=energy, allocation=alloc, duality_gap=0.0,
-        mode_label=MODE_COMP,
+        mode_label=MODE_COMP, certified_by="1-d-search",
     )
 
 
@@ -185,7 +185,9 @@ def mode_comm_coop(p: SystemParams) -> SolveReport:
     # a dual value bounds the optimum from below: less 8 eps of its terms'
     # magnitudes, no gap is reported finer than the rounding of its sum
     g = sum(terms) - 8.0 * sys.float_info.epsilon * sum(map(abs, terms))
-    return certify(alloc, d, g, p, MODE_COMM)
+    report = certify(alloc, d, g, p, MODE_COMM)
+    report.certified_by = "1-d-search" if p.L > 0.0 else "closed-form"
+    return report
 
 
 def solve_p2(p: SystemParams) -> SolveReport:

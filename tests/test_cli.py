@@ -31,6 +31,7 @@ def test_solve_default_scheme(tmp_path, capsys):
     assert rc == EXIT_OK
     assert "status:      optimal" in out
     assert "energy_J" in out
+    assert "certified_by: checkpoint-face" in out  # T = 40 ms still ascends
 
 
 def test_solve_specific_scheme(tmp_path, capsys):
@@ -38,6 +39,7 @@ def test_solve_specific_scheme(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == EXIT_OK
     assert "scheme:      local" in out
+    assert "certified_by: closed-form" in out
     # default point: 0.02 Mbits in 100 ms locally costs 8e-4 J
     assert "0.0008" in out
 

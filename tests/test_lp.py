@@ -239,11 +239,13 @@ def random_lp(rng):
 
 
 def solver_lps(monkeypatch) -> list[tuple]:
-    """The recovery LPs the solver itself builds."""
+    """The recovery LPs the solver itself builds. The cold face solves are
+    off: they answer most of the batch with no recovery LP at all."""
     import coopmec.p1
     from coopmec.bench import run_benchmark
-    from conftest import desk_params, random_params
+    from conftest import desk_params, no_cold_attempt, random_params
 
+    no_cold_attempt(monkeypatch)
     seen = []
     real = coopmec.p1.lp_solve
     monkeypatch.setattr(coopmec.p1, "lp_solve",

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from collections import Counter
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -21,6 +22,8 @@ from coopmec.model import (
 )
 from coopmec.oracle import max_kkt_residual, oracle_p11
 from coopmec.p1 import (
+    CERTIFIED_BY,
+    COLD_STARTS,
     GAP_TOL,
     MAX_ITER,
     STATUS_INFEASIBLE,
@@ -711,7 +714,7 @@ def test_cold_attempt_changes_no_answer(monkeypatch):
     # each op of the acceptance batch, of figure 4's partial points and of
     # the capacity-edge partial ops below capacity is solved with the cold
     # face solves and without them: the same status and energy (within
-    # 1e-12 relative; 1.0e-14 measured), and where both cold starts fail
+    # 1e-12 relative; 1.0e-14 measured), and where every cold start fails
     # the ascent makes the same iterations as without them
     rng = np.random.default_rng(20250808)
     ops = ([("joint-partial", random_params(rng)) for _ in range(50)]
@@ -732,11 +735,74 @@ def test_cold_attempt_changes_no_answer(monkeypatch):
         else:
             assert rep is cold and rep.iterations == 0
             _assert_certified(rep, p)
-    # 40 of the batch, 20 of figure 4 and 18 of the 24 edge ops measured;
+    # 48 of the batch, 24 of figure 4 and 20 of the 24 edge ops measured;
     # 16 are joint-partial answers on the helper-only face
-    assert sum(cold is not None for cold in attempts) >= 75
+    assert sum(cold is not None for cold in attempts) >= 92
     assert sum(cold is not None and scheme == "joint-partial" and _relay_closed(cold.allocation)
                for (scheme, _), cold in zip(ops, attempts)) >= 14
+
+
+def test_direct_link_points_certify_cold():
+    # acceptance ops #23 and #39, and the strong direct link at 0.999 of
+    # capacity in joint- and comm-partial, sit on the direct-link face:
+    # tau3 closed and lam2 = 0. Each certifies cold from that start, and
+    # at its dual sub3 keeps tau3 closed (rho3 >= 0)
+    rng = np.random.default_rng(20250808)
+    batch = [random_params(rng) for _ in range(50)]
+    strong = EDGE_TEMPLATES["direct-link-strong"]()
+    ops = [("joint-partial", batch[23]), ("joint-partial", batch[39])] + [
+        (scheme, replace(strong, L=0.999 * _scheme_capacity(strong, scheme)))
+        for scheme in ("joint-partial", "comm-partial")]
+    for scheme, p in ops:
+        rep = run_benchmark(scheme, p)
+        _assert_certified(rep, p)
+        assert rep.certified_by == "cold-direct" and rep.iterations == 0
+        assert rep.allocation.tau2 > 0.0 and rep.allocation.l_a > 0.0
+        assert rep.allocation.tau3 == 0.0 and rep.dual.lam2 == 0.0
+        sub = solve_sub3(rep.dual, p)
+        assert sub["rho3"] >= 0.0 and sub["tau3"] == 0.0
+
+
+#: per workload, how a round's reports were obtained (SolveReport.
+#: certified_by), and the ascent's ops and iterations among them
+PATHS_PER_ROUND = {
+    "acceptance-batch": ({"cold-generic": 34, "cold-helper": 6, "cold-scaled": 6,
+                          "cold-direct": 2, "checkpoint-face": 2}, 2, 555),
+    "fig4-sweep": ({"cold-generic": 5, "cold-helper": 15, "cold-scaled": 4,
+                    "checkpoint-face": 6, "closed-form": 17, "1-d-search": 22, "": 1}, 6, 1203),
+    "capacity-edge": ({"vertex": 12, "cold-generic": 9, "cold-helper": 9, "cold-direct": 2,
+                       "checkpoint-face": 4, "1-d-search": 12}, 4, 1580),
+}
+
+
+def test_reports_name_their_path():
+    # every op of the three benchmark workloads names how its report was
+    # obtained: an ascent op names the checkpoint's face solve (or the
+    # recovery), any other op a path that makes no iterations, and only
+    # an infeasible report names none
+    rng = np.random.default_rng(20250808)
+    sc = Scenario(sweep_param="T", sweep_from=10.0, sweep_to=100.0, sweep_steps=10)
+    workloads = {
+        "acceptance-batch": [("joint-partial", random_params(rng)) for _ in range(50)],
+        "fig4-sweep": [(scheme, sc.at_sweep_value(T)) for T in sc.sweep_values()
+                       for scheme in sc.schemes],
+        "capacity-edge": [(scheme, replace(make(), L=frac * _scheme_capacity(make(), scheme)))
+                          for make in EDGE_TEMPLATES.values()
+                          for scheme in PARTIAL_SCHEMES + ("comm-binary",)
+                          for frac in (1.0, 0.999, 1e-6)],
+    }
+    assert [name for name, _ in COLD_STARTS] == [n for n in CERTIFIED_BY if n.startswith("cold-")]
+    for name, ops in workloads.items():
+        reports = [run_benchmark(scheme, p) for scheme, p in ops]
+        for rep in reports:
+            assert rep.certified_by in CERTIFIED_BY + ("",)
+            assert (rep.certified_by == "") == (rep.status == STATUS_INFEASIBLE)
+            ascent = rep.certified_by in ("checkpoint-face", "recovery")
+            assert (rep.iterations > 0) == ascent
+        paths, ascent_ops, iterations = PATHS_PER_ROUND[name]
+        assert Counter(rep.certified_by for rep in reports) == paths
+        assert sum(rep.iterations > 0 for rep in reports) == ascent_ops
+        assert sum(rep.iterations for rep in reports) == iterations
 
 
 def test_helper_only_points_certify_cold():
